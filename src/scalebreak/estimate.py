@@ -139,8 +139,7 @@ def _n_eff(y, n_eff):
 def ols_theta(y, design, gamma=None, n_eff=None):
     """Closed-form least squares for (alpha, log beta).
 
-    When ``gamma`` is supplied (a matrix, or a callable evaluated at the
-    fitted slope for the plug-in covariance), the estimate carries
+    When the covariance matrix ``gamma`` is supplied, the estimate carries
     cov = (L'L)^-1 L' Gamma L (L'L)^-1 / n_eff.
     """
     yv = _as_y(y)
@@ -155,7 +154,7 @@ def ols_theta(y, design, gamma=None, n_eff=None):
     neff = _n_eff(y, n_eff)
     cov = None
     if gamma is not None:
-        g = gamma(alpha) if callable(gamma) else np.asarray(gamma, dtype=float)
+        g = np.asarray(gamma, dtype=float)
         if neff is None:
             raise ValidationError("covariance scaling requires n_eff")
         ltl_inv = np.linalg.inv(design.T @ design)

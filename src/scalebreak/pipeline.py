@@ -285,11 +285,14 @@ def analyze(path, params, with_fgls=True, ci_level=0.95):
     fits = []
     for k_lo, k_hi in result.shrunk:
         y = table.log_variance_vector(k_lo, k_hi)
-        theta_ols = ols_theta(y, design, gamma=gamma_fn if with_fgls else None)
+        theta_ols = ols_theta(y, design)
         theta_fgls = gof_res = None
         exponent_fgls = None
         if with_fgls:
+            # One plug-in covariance at the OLS slope serves the OLS
+            # covariance, the FGLS weights and the goodness-of-fit test.
             gamma_tilde = gamma_fn(theta_ols.alpha)
+            theta_ols = ols_theta(y, design, gamma=gamma_tilde)
             theta_fgls = fgls_theta(y, design, gamma_tilde)
             gof_res = gof(y, design, theta_fgls, gamma_tilde, y.n_eff)
             exponent_fgls = exponent_from_alpha(theta_fgls.alpha, params.family)

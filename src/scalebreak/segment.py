@@ -5,11 +5,12 @@ log-log regression residual (see :func:`scalebreak.scalogram.segment_cost`),
 optionally in its precision-weighted, length-scaled form.  Minimization
 runs over a candidate grid (segment costs only change where a boundary
 crosses some scale's shift grid, so a stride equal to the base scale is
-exhaustive for base-aligned grids) by dynamic programming over precomputed
-pair costs; the result is the exact global minimizer on that grid, with
-ties broken toward the lexicographically smallest instant vector.  m <= 1
-avoids the quadratic pair table and scans boundary costs directly; both
-routes evaluate segment costs through the same code path.
+exhaustive for base-aligned grids) by a segment-neighbourhood dynamic
+program, the same code for every m.  It evaluates pair costs one block of
+rows at a time over the band of feasible pairs, so memory stays
+O(P * m) plus one block for P candidates, and returns the exact global
+minimizer on the grid, with ties broken toward the lexicographically
+smallest instant vector.
 """
 
 from __future__ import annotations
@@ -105,10 +106,13 @@ def _pair_costs(table, k_lo, k_hi, min_len, objective="plain"):
     q2 = np.zeros_like(q0)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_len = np.log(length)
+    # Untrimmed shift ranges depend on one bound each, so they stay at the
+    # bounds' own (unbroadcast) shapes until the prefix sums are differenced.
+    lo, hi = (k_lo + trim * length, k_hi - trim * length) if trim else (k_lo, k_hi)
     for i, a in enumerate(table.scales):
         prefix = table.sq_prefix[i]
-        p_lo = np.floor((k_lo + trim * length) / a).astype(np.int64)
-        p_hi = np.floor((k_hi - trim * length) / a).astype(np.int64)
+        p_lo = np.floor(lo / a).astype(np.int64)
+        p_hi = np.floor(hi / a).astype(np.int64)
         ok = feasible & (p_hi - p_lo >= 2)
         sums = prefix[np.clip(p_hi, 0, prefix.size - 1)] - prefix[
             np.clip(p_lo, 0, prefix.size - 1)
@@ -133,8 +137,11 @@ def _candidates(n, stride):
 
 
 def cost_matrix(table, constraints, objective="plain"):
-    """Candidate grid and the full pair-cost matrix (used for m >= 2 and by
-    the exhaustive-search oracle)."""
+    """Candidate grid and the full P x P pair-cost matrix.
+
+    The search never builds this matrix; it is the exhaustive-search
+    oracle's input, computed by the same :func:`_pair_costs`.
+    """
     cands = _candidates(table.n, constraints.candidate_stride)
     cost = _pair_costs(
         table, cands[:, None].astype(float), cands[None, :].astype(float),
@@ -143,25 +150,46 @@ def cost_matrix(table, constraints, objective="plain"):
     return cands, cost
 
 
-def _dp_minimize(cost, m):
-    """Exact DP over the pair-cost matrix; suffix table plus greedy-left
-    reconstruction gives the lexicographically smallest optimal vector."""
-    p = cost.shape[0]
-    suffix = np.full((m + 2, p), np.inf)
-    suffix[1] = cost[:, -1]
-    for j in range(2, m + 2):
-        suffix[j] = np.min(cost + suffix[j - 1][None, :], axis=1)
-    g_min = suffix[m + 1][0]
-    if not np.isfinite(g_min):
-        raise ValidationError("no feasible segmentation under the constraints")
-    picks = []
-    i = 0
+# Cells per block of pair costs (at least one row of P): each of a block's
+# temporaries then takes 256 KB, small enough to stay in cache.
+_BLOCK_CELLS = 1 << 15
+
+
+def _search(table, cands, m, min_len, gap, objective):
+    """Segment-neighbourhood DP over the candidate indices.
+
+    ``suffix[j][i]`` is the least cost of splitting [cands[i], N) into j
+    segments.  Level 1 is the column of costs to N; levels 2..m walk the
+    rows bottom-up in blocks of at most ``gap`` rows, where ``gap`` bounds
+    the index distance of every feasible pair from below, so a block only
+    reads rows below it and one pass over the feasible band fills every
+    level.  Greedy-left reconstruction over the m rows on the optimal path
+    gives the lexicographically smallest minimizer.
+    """
+    p = cands.size
+
+    def costs(lo, hi):
+        return _pair_costs(table, lo, hi, min_len, objective)
+
+    suffix = np.full((max(m, 1) + 1, p), np.inf)
+    suffix[1] = costs(cands, cands[-1])
+    rows = max(1, min(gap, _BLOCK_CELLS // p))
+    r1 = p - gap if m >= 2 else 0  # rows from p - gap on stay infinite
+    while r1 > 0:
+        r0 = max(r1 - rows, 0)
+        c0 = r0 + gap
+        block = costs(cands[r0:r1, None], cands[None, c0:])
+        for j in range(2, m + 1):
+            suffix[j, r0:r1] = np.min(block + suffix[j - 1, c0:], axis=1)
+        r1 = r0
+    g = suffix[1, 0]
+    picks = [0]
     for j in range(m, 0, -1):
-        totals = cost[i] + suffix[j]
-        k = int(np.argmin(totals))
-        picks.append(k)
-        i = k
-    return g_min, picks
+        totals = costs(cands[picks[-1]], cands) + suffix[j]
+        picks.append(int(np.argmin(totals)))
+        if j == m:
+            g = totals[picks[-1]]
+    return float(g), picks[1:]
 
 
 def contrast(path, wavelet, grid, ks, min_len=None):
@@ -196,37 +224,25 @@ def detect(path, wavelet, grid, constraints, table=None, objective="plain"):
     if table is None:
         table = ScalogramTable(path, wavelet, grid)
     n = table.n
-    if (constraints.m + 1) * constraints.min_len > n:
+    m, min_len = constraints.m, constraints.min_len
+    stride = constraints.candidate_stride
+    if (m + 1) * min_len > n:
         raise ValidationError("(m+1) * min_len exceeds the series length")
-    if constraints.m == 0:
-        g = float(_pair_costs(table, 0.0, float(n), constraints.min_len, objective))
-        if not np.isfinite(g):
-            raise ValidationError("no feasible segmentation under the constraints")
-        k_hat = ()
-    elif constraints.m == 1:
-        cands = _candidates(n, constraints.candidate_stride)[1:-1].astype(float)
-        if cands.size == 0:
-            raise ValidationError("candidate grid is empty; reduce the stride")
-        left = _pair_costs(table, 0.0, cands, constraints.min_len, objective)
-        right = _pair_costs(table, cands, float(n), constraints.min_len, objective)
-        totals = left + right
-        best = int(np.argmin(totals))
-        g = float(totals[best])
-        if not np.isfinite(g):
-            raise ValidationError("no feasible segmentation under the constraints")
-        k_hat = (int(cands[best]),)
-    else:
-        cands, cost = cost_matrix(table, constraints, objective)
-        g, picks = _dp_minimize(cost, constraints.m)
-        g = float(g)
-        k_hat = tuple(int(cands[k]) for k in picks)
+    cands = _candidates(n, stride)
+    if m > 0 and cands.size < 3:
+        raise ValidationError("candidate grid is empty; reduce the stride")
+    gap = -(-min_len // stride)
+    g, picks = _search(table, cands.astype(float), m, min_len, gap, objective)
+    if not np.isfinite(g):
+        raise ValidationError("no feasible segmentation under the constraints")
+    k_hat = tuple(int(cands[k]) for k in picks)
     return ChangePointResult(
         k_hat=k_hat,
         tau_hat=tuple(k / n for k in k_hat),
         g_min=g,
         n=n,
         delta=path.delta,
-        stride=int(constraints.candidate_stride),
+        stride=int(stride),
     )
 
 

@@ -32,7 +32,7 @@ from scalebreak import (
     summarize,
 )
 from scalebreak.scalogram import ScalogramTable
-from scalebreak.segment import _dp_minimize, cost_matrix
+from scalebreak.segment import cost_matrix
 
 
 def announce(criterion, ok, detail):
@@ -249,11 +249,10 @@ def test_criterion_7_dp_equals_exhaustive():
         table = ScalogramTable(path, w, grid)
         cands, cost = cost_matrix(table, cons, objective)
         assert len(cands) <= 42
-        g_dp, picks = _dp_minimize(cost, m)
-        k_dp = tuple(int(cands[i]) for i in picks)
+        res = detect(path, w, grid, cons, table=table, objective=objective)
         g_ex, k_ex = _exhaustive(cands, cost, m)
-        assert g_dp == g_ex, (seed, m, objective)
-        assert k_dp == k_ex, (seed, m, objective)
+        assert res.g_min == g_ex, (seed, m, objective)
+        assert res.k_hat == k_ex, (seed, m, objective)
         checked += 1
     announce(7, True, f"DP == exhaustive on {checked} instances (exact)")
 

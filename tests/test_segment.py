@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +17,14 @@ from scalebreak import (
     design_matrix,
     detect,
     log_variance_vector,
+    make_band_limited,
     make_compact_poly,
     segment_cost,
     shrink,
     simulate_piecewise,
 )
 from scalebreak.scalogram import ScalogramTable
-from scalebreak.segment import cost_matrix, _dp_minimize
+from scalebreak.segment import cost_matrix
 
 
 def exhaustive_minimum(cands, cost, m):
@@ -106,11 +108,10 @@ class TestDetect:
         for objective in ("plain", "stabilized"):
             cands, cost = cost_matrix(table, cons, objective)
             assert len(cands) <= 42
-            g_dp, picks = _dp_minimize(cost, m)
-            k_dp = tuple(int(cands[i]) for i in picks)
+            res = detect(path, W3, GRID, cons, table=table, objective=objective)
             g_ex, k_ex = exhaustive_minimum(cands, cost, m)
-            assert g_dp == g_ex
-            assert k_dp == k_ex
+            assert res.g_min == g_ex
+            assert res.k_hat == k_ex
 
     def test_m1_fast_path_matches_exhaustive(self):
         path = random_path(640, 21)
@@ -170,9 +171,55 @@ class TestDetect:
         cons = SegmentationConstraints(m=2, min_len=64, candidate_stride=32)
         table = ScalogramTable(path, W3, GRID)
         cands, cost = cost_matrix(table, cons, "plain")
-        g_dp, picks = _dp_minimize(cost, 2)
+        res = detect(path, W3, GRID, cons, table=table)
         g_ex, _ = exhaustive_minimum(cands, cost, 2)
-        assert g_dp == g_ex
+        assert res.g_min == g_ex
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        m=st.integers(min_value=0, max_value=3),
+        objective=st.sampled_from(["plain", "stabilized"]),
+        stride=st.integers(min_value=13, max_value=29),
+        cells=st.integers(min_value=12, max_value=28),
+        short=st.integers(min_value=1, max_value=12),
+        min_len=st.integers(min_value=24, max_value=150),
+    )
+    def test_search_equals_exhaustive_property(
+        self, seed, m, objective, stride, cells, short, min_len
+    ):
+        # Band-limited wavelet on a trimmed grid (length-dependent shift
+        # ranges), and a stride that leaves a short last candidate gap.
+        n = stride * cells + short
+        path = random_path(n, seed)
+        grid = ScaleGrid(1, (3, 4, 6), trim=0.1)
+        wavelet = make_band_limited(2.0, 3.0)
+        cons = SegmentationConstraints(m=m, min_len=min_len, candidate_stride=stride)
+        table = ScalogramTable(path, wavelet, grid)
+        cands, cost = cost_matrix(table, cons, objective)
+        g_ex, k_ex = exhaustive_minimum(cands, cost, m)
+        if not np.isfinite(g_ex):
+            with pytest.raises(ValidationError):
+                detect(path, wavelet, grid, cons, table=table, objective=objective)
+            return
+        res = detect(path, wavelet, grid, cons, table=table, objective=objective)
+        assert res.g_min == g_ex
+        assert res.k_hat == k_ex
+
+    def test_search_memory_is_subquadratic(self):
+        # P = 4001 candidates: the full pair matrix alone would be 128 MB.
+        n = 4000
+        path = random_path(n, 12)
+        table = ScalogramTable(path, W3, GRID)
+        cons = SegmentationConstraints(m=2, min_len=400, candidate_stride=1)
+        p = n + 1
+        tracemalloc.start()
+        try:
+            detect(path, W3, GRID, cons, table=table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p * p * 8 / 10
 
 
 class TestShrink:
