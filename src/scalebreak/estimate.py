@@ -31,6 +31,7 @@ Both reduce to 2 r sum (corr_m)^2 on the diagonal.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -61,6 +62,10 @@ __all__ = [
 _RIDGE = 1e-8
 _REL_TOL = 1e-10
 _MAX_LAG_TERMS = 4096
+_LAG_BLOCK = 16
+_TOL, _FLOOR = 1, 2  # lag-sum stop reasons
+
+_log = logging.getLogger("scalebreak")
 
 
 @dataclass(frozen=True)
@@ -234,11 +239,14 @@ _N_QUAD = 8192  # Simpson intervals per pair integral
 QUADRATURE_META = {"simpson_intervals": _N_QUAD, "lag_rel_tol": _REL_TOL}
 
 
-def _simpson_weights(n_points, step):
-    w = np.ones(n_points)
+def _simpson_rule(lo, hi):
+    """Nodes and weights of composite Simpson with _N_QUAD intervals on
+    [lo, hi].  The step is (hi - lo) / _N_QUAD: the difference of two nodes
+    loses about 12 bits when lo is far from 0."""
+    w = np.ones(_N_QUAD + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (step / 3.0)
+    return np.linspace(lo, hi, _N_QUAD + 1), w * ((hi - lo) / _N_QUAD / 3.0)
 
 
 def _effective_cutoff(wavelet, d_exp):
@@ -253,84 +261,139 @@ def _effective_cutoff(wavelet, d_exp):
     return float(x[min(idx + 1, x.size - 1)])
 
 
-def _pair_sum_spectral(wavelet, d_exp, r_p, r_q, j_norm, cutoff):
-    """sum_m [I_pq(d m)/J]^2 for one scale pair, truncated at 1e-10 relative."""
-    d = math.gcd(r_p, r_q)
+def _lag_sums(wavelet, d_exp, pairs, names, j_norm, cutoff):
+    """sum_m [I_pq(m)/J]^2 for coprime ratio pairs (p, q) on one eta grid.
+
+    The lags m = 1, 2, ... are taken _LAG_BLOCK at a time, for every pair
+    at once: one matrix product meets the first block's phases exp(i m eta)
+    with the integrands, which are rotated by exp(i _LAG_BLOCK eta) after
+    each block.  Each pair stops at the first block end where the block
+    adds less than _REL_TOL of its total, or where tiny blocks stop
+    decreasing (the quadrature noise floor, not the true tail, is being
+    summed).  Returns the sums, the lag terms each pair used and its stop
+    reason (_TOL, _FLOOR, or 0 for disjoint bands); ``names`` are the scale
+    pairs that a convergence failure reports.
+    """
+    n_pairs = len(pairs)
+    sums = np.zeros(n_pairs)
+    lags = np.zeros(n_pairs, dtype=int)
+    reason = np.zeros(n_pairs, dtype=int)
+    p_ratios = np.array([p for p, _ in pairs], dtype=float)
+    q = pairs[0][1]
     if wavelet.is_band_limited:
-        lo = wavelet.lam / min(r_p, r_q)
-        hi = wavelet.mu / max(r_p, r_q)
+        lo = wavelet.lam / pairs[0][0]
+        hi = wavelet.mu / q
         if hi <= lo:
-            return d, 0.0
+            return sums, lags, reason
     else:
         lo = 0.0
-        hi = cutoff / max(r_p, r_q)
-    eta = np.linspace(lo, hi, _N_QUAD + 1)
-    w = _simpson_weights(eta.size, eta[1] - eta[0])
-    g = wavelet.psi_hat(r_p * eta) * np.conj(wavelet.psi_hat(r_q * eta))
+        hi = cutoff / q
+    eta, w = _simpson_rule(lo, hi)
     with np.errstate(divide="ignore"):
         power = np.where(eta > 0.0, eta ** (-d_exp), 0.0)
-    gc = g.real * power * w
-    gs = g.imag * power * w
-    i0 = float(np.sum(gc))
-    total = (i0 / j_norm) ** 2
-    # Lag phases exp(i d m eta) by recurrence: one complex multiply per m.
-    phase_step = np.exp(1j * d * eta)
-    phase = phase_step.copy()
-    block_sum = 0.0
-    prev_block = np.inf
-    m = 1
-    while m <= _MAX_LAG_TERMS:
-        cg = float(phase.real @ gc)
-        sg = float(phase.imag @ gs)
-        block_sum += ((cg - sg) / j_norm) ** 2 + ((cg + sg) / j_norm) ** 2
-        if m % 16 == 0:
-            total += block_sum
-            if block_sum < _REL_TOL * total:
-                return d, total
-            # Non-decreasing tiny blocks mean the quadrature noise floor,
-            # not the true tail, is being summed.
-            if block_sum >= 0.5 * prev_block and block_sum < 1e-7 * total:
-                return d, total
-            prev_block = block_sum
-            block_sum = 0.0
-        phase *= phase_step
-        m += 1
+    g = wavelet.psi_hat(np.outer(p_ratios, eta)) * np.conj(wavelet.psi_hat(q * eta))
+    g *= power * w
+    sums[:] = (g.real.sum(axis=1) / j_norm) ** 2
+    # Phases exp(i m eta) of the first block by recurrence, one complex
+    # multiply per lag; later blocks rotate the integrands instead.
+    phase = np.empty((_LAG_BLOCK, eta.size), dtype=complex)
+    phase[0] = np.exp(1j * eta)
+    for m in range(1, _LAG_BLOCK):
+        phase[m] = phase[m - 1] * phase[0]
+    rotation = phase[-1].copy()
+    # As real rows, conj(phase) interleaves (cos, -sin) and an integrand h
+    # interleaves (Re, Im), so one product gives Re sum exp(i m eta) h, that
+    # is cg - sg for h = g and cg + sg for h = conj(g), where
+    # cg = sum cos(m eta) Re g and sg = sum sin(m eta) Im g.
+    base = np.conj(phase).view(np.float64)
+    shifted = np.concatenate([g, np.conj(g)])
+    active = np.arange(n_pairs)
+    prev_block = np.full(n_pairs, np.inf)
+    for n_blocks in range(1, _MAX_LAG_TERMS // _LAG_BLOCK + 1):
+        terms = base @ shifted.view(np.float64).T
+        block = ((terms / j_norm) ** 2).reshape(_LAG_BLOCK, 2, -1).sum(axis=(0, 1))
+        total = sums[active] + block
+        sums[active] = total
+        tol = block < _REL_TOL * total
+        floor = ~tol & (block >= 0.5 * prev_block) & (block < 1e-7 * total)
+        done = tol | floor
+        reason[active[tol]] = _TOL
+        reason[active[floor]] = _FLOOR
+        lags[active[done]] = n_blocks * _LAG_BLOCK
+        if done.all():
+            return sums, lags, reason
+        if done.any():
+            active, prev_block = active[~done], block[~done]
+            shifted = shifted[np.tile(~done, 2)]
+        else:
+            prev_block = block
+        shifted *= rotation
     raise NumericError(
-        f"lag sum for scale pair ({r_p}, {r_q}) did not converge "
+        f"lag sum for scale pair {names[active[0]]} did not converge "
         f"within {_MAX_LAG_TERMS} terms"
     )
 
 
 def _spectral_gamma(d_exp, grid, wavelet, trim):
+    """Spectral-form Gamma, one lag sum per coprime ratio pair.
+
+    With d = gcd(r_p, r_q) and (p, q) = (r_p, r_q) / d, the Simpson grid of
+    (r_p, r_q) is that of (p, q) divided by d, so I_pq(d m) equals
+    d^(D-1) I_{p q}(m) node for node and gamma_{r_p r_q} = d gamma_{p q}.
+    Compact wavelets put every pair with the same q on one grid; for
+    band-limited wavelets the grid depends on p too.
+    """
     ratios = grid.ratios
     ell = len(ratios)
     if wavelet.is_band_limited:
-        j_eta = np.linspace(wavelet.lam, wavelet.mu, _N_QUAD + 1)
         cutoff = None
+        j_eta, jw = _simpson_rule(wavelet.lam, wavelet.mu)
     else:
         cutoff = _effective_cutoff(wavelet, d_exp)
-        j_eta = np.linspace(0.0, cutoff, _N_QUAD + 1)
-    jw = _simpson_weights(j_eta.size, j_eta[1] - j_eta[0])
+        j_eta, jw = _simpson_rule(0.0, cutoff)
     with np.errstate(divide="ignore"):
         power = np.where(j_eta > 0.0, j_eta ** (-d_exp), 0.0)
     j_norm = float(np.sum(np.abs(wavelet.psi_hat(j_eta)) ** 2 * power * jw))
     if not j_norm > 0.0:
         raise NumericError("normalizing integral vanished")
+    cells = {}
+    for i in range(ell):
+        for k in range(i, ell):
+            d = math.gcd(ratios[i], ratios[k])
+            cells.setdefault((ratios[i] // d, ratios[k] // d), []).append((i, k, d))
+    # Each coprime pair is named by its first scale pair in the grid.
+    names = {pair: (ratios[i], ratios[k]) for pair, ((i, k, _), *_) in cells.items()}
+    groups = {}
+    for pair in cells:
+        groups.setdefault(pair if wavelet.is_band_limited else pair[1], []).append(pair)
+    # A chunk's integrands and their conjugates fill at most ell complex
+    # rows of _N_QUAD + 1 nodes.
+    size = max(1, ell // 2)
+    sums, lags, reason = {}, {}, {}
+    for pairs in groups.values():
+        for start in range(0, len(pairs), size):
+            chunk = pairs[start : start + size]
+            out = _lag_sums(
+                wavelet, d_exp, chunk, [names[pair] for pair in chunk], j_norm, cutoff
+            )
+            for pair, s, n, why in zip(chunk, *out):
+                sums[pair], lags[pair], reason[pair] = s, n, why
     gam = np.empty((ell, ell))
-    for p in range(ell):
-        for q in range(p, ell):
-            d, lag_sum = _pair_sum_spectral(
-                wavelet, d_exp, ratios[p], ratios[q], j_norm, cutoff
-            )
-            val = (
-                2.0
-                * d
-                * (ratios[p] * ratios[q]) ** (1.0 - d_exp)
-                / (1.0 - 2.0 * trim)
-                * lag_sum
-            )
-            gam[p, q] = val
-            gam[q, p] = val
+    for (p, q), members in cells.items():
+        val = 2.0 * (p * q) ** (1.0 - d_exp) / (1.0 - 2.0 * trim) * sums[p, q]
+        for i, k, d in members:
+            gam[i, k] = gam[k, i] = d * val
+    if _log.isEnabledFor(logging.DEBUG):
+        worst = max(lags, key=lags.get)
+        _log.debug(
+            "gamma lag sums: %d lag terms over %d coprime ratio pairs; "
+            "%d stopped on tolerance, %d on the noise floor; "
+            "most lags %d, for scale pair %s",
+            sum(lags.values()), len(lags),
+            sum(r == _TOL for r in reason.values()),
+            sum(r == _FLOOR for r in reason.values()),
+            lags[worst], names[worst],
+        )
     return gam
 
 

@@ -40,6 +40,7 @@ __all__ = [
 # a uniform grid up to aliasing images below 1e-11.
 _FT_SAMPLES = 4096
 _FT_NFFT = 1 << 22
+_FT_PHASES = 32
 _FT_XMAX = 600.0
 
 
@@ -89,12 +90,25 @@ class CompactPolyWavelet:
         return float(np.dot(self.q_coeffs, _beta3(r + j + 2.0)))
 
     def _build_ft_table(self):
+        """Bins k = 0..kmax of the _FT_NFFT-point DFT of the samples.
+
+        Bin k = P j + r (P = _FT_PHASES) is bin j of the (_FT_NFFT / P)-point
+        DFT of the samples twiddled by exp(-2 pi i r n / _FT_NFFT), so P
+        short transforms give the same bins as the long one.  The grid
+        reaches past _FT_XMAX, so interpolation never extrapolates.
+        """
         m = _FT_SAMPLES
         samples = self.evaluate(np.arange(m) / m)
-        spec = np.fft.rfft(samples, _FT_NFFT) / m
         dx = 2.0 * math.pi * m / _FT_NFFT
-        kmax = int(_FT_XMAX / dx)
-        self._ft_table = (dx, spec[: kmax + 1])
+        kmax = int(_FT_XMAX / dx) + 1
+        n_low = kmax // _FT_PHASES + 1
+        spec = np.empty(n_low * _FT_PHASES, dtype=complex)
+        n = np.arange(m)
+        for r in range(_FT_PHASES):
+            twiddled = samples * np.exp(-2j * math.pi * r * n / _FT_NFFT)
+            spec[r::_FT_PHASES] = np.fft.fft(twiddled, _FT_NFFT // _FT_PHASES)[:n_low]
+        table = spec[: kmax + 1] / m
+        self._ft_table = (dx * np.arange(table.size), table)
 
     def psi_hat(self, xi):
         """Fourier transform psi_hat(xi) = int psi(t) exp(-i xi t) dt."""
@@ -103,16 +117,12 @@ class CompactPolyWavelet:
         xi = np.atleast_1d(xi)
         if self._ft_table is None:
             self._build_ft_table()
-        dx, table = self._ft_table
+        nodes, table = self._ft_table
         ax = np.abs(xi)
-        out = np.empty(xi.shape, dtype=complex)
-        hot = ax <= _FT_XMAX
-        pos = ax[hot] / dx
-        lo = np.minimum(pos.astype(int), table.size - 2)
-        frac = pos - lo
-        out[hot] = table[lo] * (1.0 - frac) + table[lo + 1] * frac
-        if np.any(~hot):
-            out[~hot] = self._quad_psi_hat(ax[~hot])
+        out = np.interp(ax, nodes, table)
+        far = ax > _FT_XMAX
+        if np.any(far):
+            out[far] = self._quad_psi_hat(ax[far])
         neg = xi < 0.0
         out[neg] = np.conj(out[neg])
         return out[0] if scalar else out

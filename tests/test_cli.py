@@ -97,6 +97,22 @@ class TestDetect:
         assert payload["tau_hat"] == []
         assert len(payload["segments"]) == 1
 
+    def test_gamma_non_convergence_exits_3(self, tmp_path, monkeypatch, capsys):
+        import scalebreak.estimate as estimate
+
+        series = tmp_path / "series.csv"
+        run_cli(
+            "simulate", "--family", "fgn", "--n", "4096", "--exponents", "0.5",
+            "--seed", "5", "--out", series,
+        )
+        monkeypatch.setattr(estimate, "_MAX_LAG_TERMS", 16)
+        code = run_cli(
+            "detect", "--family", "fgn", "--ell", "6", "--input", series,
+            "--out", tmp_path / "res.json",
+        )
+        assert code == 3
+        assert "scale pair" in capsys.readouterr().err
+
     def test_non_numeric_cell_names_row_and_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0\n2.0\nnope\n3.0\n")

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import scalebreak.estimate as estimate
 from scalebreak import (
     LogVarianceVector,
+    NumericError,
     ScaleGrid,
     ValidationError,
     alpha_from_exponent,
@@ -119,6 +122,125 @@ class TestGammaLrd:
             g0 = gamma_lrd(alpha, grid, W3)
             g1 = gamma_lrd(alpha + 1e-3, grid, W3)
             assert np.linalg.norm(g1 - g0) <= 0.1 * np.linalg.norm(g0)
+
+
+def oracle_pair_sum(wavelet, d_exp, r_p, r_q, j_norm, cutoff):
+    """sum_m [I_pq(d m)/J]^2 for one scale pair by the serial lag loop:
+    the pair's own Simpson grid, one complex phase step per lag, and the
+    same stop rules and 16-lag blocks as the batched sums."""
+    d = math.gcd(r_p, r_q)
+    if wavelet.is_band_limited:
+        lo = wavelet.lam / min(r_p, r_q)
+        hi = wavelet.mu / max(r_p, r_q)
+        if hi <= lo:
+            return d, 0.0
+    else:
+        lo = 0.0
+        hi = cutoff / max(r_p, r_q)
+    eta, w = estimate._simpson_rule(lo, hi)
+    g = wavelet.psi_hat(r_p * eta) * np.conj(wavelet.psi_hat(r_q * eta))
+    with np.errstate(divide="ignore"):
+        power = np.where(eta > 0.0, eta ** (-d_exp), 0.0)
+    gc = g.real * power * w
+    gs = g.imag * power * w
+    total = (float(np.sum(gc)) / j_norm) ** 2
+    phase_step = np.exp(1j * d * eta)
+    phase = phase_step.copy()
+    block_sum = 0.0
+    prev_block = np.inf
+    for m in range(1, estimate._MAX_LAG_TERMS + 1):
+        cg = float(phase.real @ gc)
+        sg = float(phase.imag @ gs)
+        block_sum += ((cg - sg) / j_norm) ** 2 + ((cg + sg) / j_norm) ** 2
+        if m % 16 == 0:
+            total += block_sum
+            if block_sum < estimate._REL_TOL * total:
+                return d, total
+            if block_sum >= 0.5 * prev_block and block_sum < 1e-7 * total:
+                return d, total
+            prev_block = block_sum
+            block_sum = 0.0
+        phase *= phase_step
+    raise NumericError(f"lag sum for scale pair ({r_p}, {r_q}) did not converge")
+
+
+def oracle_spectral_gamma(d_exp, grid, wavelet, trim):
+    """Spectral-form Gamma with one serial lag sum per scale pair."""
+    ratios = grid.ratios
+    ell = len(ratios)
+    if wavelet.is_band_limited:
+        cutoff = None
+        j_eta, jw = estimate._simpson_rule(wavelet.lam, wavelet.mu)
+    else:
+        cutoff = estimate._effective_cutoff(wavelet, d_exp)
+        j_eta, jw = estimate._simpson_rule(0.0, cutoff)
+    with np.errstate(divide="ignore"):
+        power = np.where(j_eta > 0.0, j_eta ** (-d_exp), 0.0)
+    j_norm = float(np.sum(np.abs(wavelet.psi_hat(j_eta)) ** 2 * power * jw))
+    gam = np.empty((ell, ell))
+    for p in range(ell):
+        for q in range(p, ell):
+            r_p, r_q = ratios[p], ratios[q]
+            d, lag_sum = oracle_pair_sum(wavelet, d_exp, r_p, r_q, j_norm, cutoff)
+            val = 2.0 * d * (r_p * r_q) ** (1.0 - d_exp) / (1.0 - 2.0 * trim) * lag_sum
+            gam[p, q] = gam[q, p] = val
+    return gam
+
+
+class TestBatchedGamma:
+    """The batched lag sums against the serial oracle, element by element."""
+
+    @pytest.mark.parametrize("d_exp, grid, wavelet, trim", [
+        (0.2, ScaleGrid(1, tuple(range(1, 31))), W3, 0.0),
+        (0.5, ScaleGrid(1, tuple(range(1, 31))), W3, 0.0),
+        (0.8, ScaleGrid(1, tuple(range(1, 31))), W3, 0.0),
+        (1.6, ScaleGrid(1, tuple(range(1, 8))), W3, 0.0),  # fbm route, H = 0.3
+        (2.4, ScaleGrid(1, tuple(range(1, 8))), W3, 0.0),  # fbm route, H = 0.7
+        (2.2, ScaleGrid(1, (10, 13, 16)), WBL, 0.1),
+        (0.4, ScaleGrid(2, (2, 4, 6, 9, 12)), W3, 0.0),  # gcd > 1 off the diagonal
+        (2.2, ScaleGrid(1, (4, 10, 40)), WBL, 0.1),  # disjoint bands
+    ], ids=["lrd-0.2", "lrd-0.5", "lrd-0.8", "fbm-0.3", "fbm-0.7",
+            "band-limited", "gcd", "disjoint"])
+    def test_matches_serial_oracle(self, d_exp, grid, wavelet, trim):
+        g = estimate._spectral_gamma(d_exp, grid, wavelet, trim)
+        ref = oracle_spectral_gamma(d_exp, grid, wavelet, trim)
+        np.testing.assert_array_equal(g == 0.0, ref == 0.0)
+        assert np.all(np.abs(g - ref) <= 1e-12 * np.abs(ref))
+
+    def test_memory_stays_below_an_all_pairs_array(self):
+        import tracemalloc
+
+        # One complex array over 465 pairs x 8 193 nodes would take 61 MB.
+        grid = ScaleGrid(1, tuple(range(1, 31)))
+        W3.psi_hat(1.0)  # the table is built once per process
+        tracemalloc.start()
+        try:
+            gamma_lrd(0.8, grid, W3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 465 * (estimate._N_QUAD + 1) * 16 / 3
+
+    def test_non_convergence_names_the_pair(self, monkeypatch):
+        monkeypatch.setattr(estimate, "_MAX_LAG_TERMS", 16)
+        with pytest.raises(NumericError, match=r"scale pair \(\d+, \d+\)"):
+            gamma_lrd(0.5, ScaleGrid(8, (1, 2, 3, 4)), W3)
+
+    def test_convergence_summary_at_debug_level(self, caplog):
+        grid = ScaleGrid(8, (1, 2, 3, 4, 6))
+        caplog.set_level(logging.INFO, logger="scalebreak")
+        gamma_lrd(0.5, grid, W3)
+        assert not caplog.records
+        caplog.set_level(logging.DEBUG, logger="scalebreak")
+        gamma_lrd(0.5, grid, W3)
+        (record,) = caplog.records
+        terms, n_pairs, n_tol, n_floor, most, pair = record.args
+        # Coprime pairs of (1, 2, 3, 4, 6): (1,1) (1,2) (1,3) (1,4) (1,6)
+        # (2,3) (3,4).
+        assert n_pairs == 7 and n_tol + n_floor == n_pairs
+        assert terms % 16 == 0 and 16 <= most <= terms
+        assert set(pair) <= set(grid.ratios)
+        assert "lag terms" in record.getMessage()
 
 
 class TestGammaFbm:

@@ -91,6 +91,18 @@ class TestPsiHat:
             direct = np.sum(0.5 * wts * w.evaluate(t) * np.exp(-1j * xi * t))
             assert psi_hat(w, xi) == pytest.approx(direct, abs=1e-6)
 
+    def test_table_equals_long_fft(self):
+        # The table's bins against one zero-padded 2**22-point transform.
+        from scalebreak.wavelet import _FT_NFFT, _FT_SAMPLES
+
+        w = make_compact_poly(3)
+        w.psi_hat(1.0)
+        nodes, table = w._ft_table
+        samples = w.evaluate(np.arange(_FT_SAMPLES) / _FT_SAMPLES)
+        ref = np.fft.rfft(samples, _FT_NFFT)[: table.size] / _FT_SAMPLES
+        assert nodes[-1] >= 600.0 and table.flags.c_contiguous
+        assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
+
 
 class TestBandLimited:
     def test_hat_vanishes_at_zero(self):
