@@ -41,15 +41,10 @@ from .scalogram import (
     ScaleGrid,
     ScalogramTable,
     design_matrix,
-    log_variance_vector,
-    seg_variance,
-    seg_variance_trimmed,
-    segment_cost,
 )
 from .segment import (
     ChangePointResult,
     SegmentationConstraints,
-    contrast,
     detect,
     shrink,
 )
@@ -66,11 +61,9 @@ from .synth import (
 from .wavelet import (
     BandLimitedWavelet,
     CompactPolyWavelet,
-    coeff,
     coefficients_at_scale,
     make_band_limited,
     make_compact_poly,
-    psi_hat,
 )
 
 __version__ = "0.1.0"

@@ -190,11 +190,8 @@ def fgls_theta(y, design, gamma_tilde, n_eff=None):
         theta = np.linalg.solve(a, design.T @ gi_y)
         m = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        base = ols_theta(y, design, n_eff=neff)
-        return ThetaEstimate(
-            base.alpha, base.log_beta, "fgls", base.cov, neff, fallback_to_ols=True
-        )
-    if not np.all(np.isfinite(theta)):
+        theta = None
+    if theta is None or not np.all(np.isfinite(theta)):
         base = ols_theta(y, design, n_eff=neff)
         return ThetaEstimate(
             base.alpha, base.log_beta, "fgls", base.cov, neff, fallback_to_ols=True

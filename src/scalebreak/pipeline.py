@@ -65,7 +65,7 @@ class RunParams:
     notes: tuple = ()
 
 
-def _stationary_det_grid(n, ell, min_scale):
+def _stationary_det_grid(ell, min_scale):
     """Consecutive integer scales from ``min_scale``; the smallest scales
     carry the most shifts and anchor the per-segment fits."""
     return ScaleGrid(1, tuple(range(min_scale, min_scale + ell)))
@@ -136,14 +136,14 @@ def default_params(
         if profile == "classic":
             det_grid, det_objective = grid, "plain"
         elif family is Family.FGN:
-            det_grid = _stationary_det_grid(n, ell, int(min_det_scale or 2))
+            det_grid = _stationary_det_grid(ell, int(min_det_scale or 2))
             det_objective = "stabilized"
         else:
             # FARIMA spectra have matched low-frequency intercepts, which
             # makes the variance-anchored small-scale grid misleading; a
             # wide dense grid localizes well.
             det_grid = (
-                _stationary_det_grid(n, ell, int(min_det_scale))
+                _stationary_det_grid(ell, int(min_det_scale))
                 if min_det_scale
                 else _dense_det_grid(a, round(n / 40))
             )

@@ -7,9 +7,15 @@ The variance statistic over a segment [k, k') of the sample-index axis is
 i.e. the average of squared coefficients over nonoverlapping shifts on the
 scale's own grid.  Band-limited wavelets use the trimmed variant, which
 drops a fraction ``w`` of the segment at each end where coefficients are
-contaminated by edge truncation.  Stacking log S over a grid of scales
-gives a vector that is linear in log scale with slope equal to the local
-scaling exponent.
+contaminated by edge truncation: shifts [(k + w L)/a] .. [(k' - w L)/a]-1
+with L = k' - k, and the prefactor a/((1 - 2w) L).  Stacking log S over a
+grid of scales gives a vector that is linear in log scale with slope equal
+to the local scaling exponent.
+
+:meth:`ScalogramTable.log_variances` is the only code that evaluates this
+rule.  It runs over arrays of segment bounds, for the change-point search,
+and :meth:`ScalogramTable.log_variance_vector` is the same call at one
+segment, for the per-segment fits.
 """
 
 from __future__ import annotations
@@ -26,31 +32,31 @@ __all__ = [
     "ScaleGrid",
     "LogVarianceVector",
     "ScalogramTable",
-    "seg_variance",
-    "seg_variance_trimmed",
-    "log_variance_vector",
     "design_matrix",
-    "segment_cost",
 ]
 
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Base scale, integer scale ratios r_1 < ... < r_ell, and trim fraction.
+    """Integer base scale, integer scale ratios r_1 < ... < r_ell, and trim
+    fraction.
 
-    Integer ratios keep the pairwise GCDs in the covariance formulas exact.
+    Integer scales keep the coefficients on the sample grid, and integer
+    ratios keep the pairwise GCDs in the covariance formulas exact.
     ``trim`` must be 0 for compactly supported wavelets and lies in
     [0, 1/2) for band-limited ones.
     """
 
-    base: float
+    base: int
     ratios: tuple
     trim: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "base", float(self.base))
+        if not float(self.base).is_integer():
+            raise ValidationError(f"base scale must be an integer, got {self.base}")
+        object.__setattr__(self, "base", int(self.base))
         object.__setattr__(self, "ratios", tuple(int(r) for r in self.ratios))
-        if self.base <= 0.0:
+        if self.base <= 0:
             raise ValidationError("base scale must be positive")
         if len(self.ratios) < 3:
             raise ValidationError("need at least 3 scale ratios")
@@ -91,57 +97,13 @@ class LogVarianceVector:
             raise ValidationError("need k_lo < k_hi")
 
 
-def _shift_range(a, k_lo, k_hi, trim):
-    length = k_hi - k_lo
-    p_lo = int(math.floor((k_lo + trim * length) / a))
-    p_hi = int(math.floor((k_hi - trim * length) / a))
-    return p_lo, p_hi
-
-
-def _variance_from_squares(sq_prefix, a, k_lo, k_hi, trim):
-    p_lo, p_hi = _shift_range(a, k_lo, k_hi, trim)
-    if p_hi - p_lo < 2:
-        raise ValidationError(
-            f"segment too short: {p_hi - p_lo} shifts at scale {a}"
-        )
-    if p_hi > sq_prefix.size - 1 or p_lo < 0:
-        raise ValidationError("segment bounds fall outside the path")
-    total = sq_prefix[p_hi] - sq_prefix[p_lo]
-    return a / ((1.0 - 2.0 * trim) * (k_hi - k_lo)) * total
-
-
-def _check_bounds(path, a, k_lo, k_hi):
-    if not 0 <= k_lo < k_hi <= path.n:
-        raise ValidationError("need 0 <= k < k' <= N")
-    if k_hi - k_lo < 2 * a:
-        raise ValidationError("segment too short: need k' - k >= 2a")
-
-
-def seg_variance(path, wavelet, a, k_lo, k_hi):
-    """Average of squared coefficients at scale ``a`` over [k_lo, k_hi),
-    shifts [k_lo/a] .. [k_hi/a]-1 on the scale's own grid."""
-    _check_bounds(path, a, k_lo, k_hi)
-    e = coefficients_at_scale(path, wavelet, a)
-    sq_prefix = np.concatenate([[0.0], np.cumsum(e ** 2)])
-    return float(_variance_from_squares(sq_prefix, a, k_lo, k_hi, 0.0))
-
-
-def seg_variance_trimmed(path, wavelet, a, k_lo, k_hi, trim):
-    """Trimmed variant: shifts restricted to the inner (1 - 2 trim) fraction
-    of the segment, with the matching normalization."""
-    if not 0.0 <= trim < 0.5:
-        raise ValidationError("trim fraction must lie in [0, 1/2)")
-    _check_bounds(path, a, k_lo, k_hi)
-    e = coefficients_at_scale(path, wavelet, a)
-    sq_prefix = np.concatenate([[0.0], np.cumsum(e ** 2)])
-    return float(_variance_from_squares(sq_prefix, a, k_lo, k_hi, trim))
-
-
 class ScalogramTable:
     """Squared-coefficient prefix sums at every grid scale.
 
     Built once per path, the table answers any segment variance in O(1) per
-    scale, which is what the change-point search needs.
+    scale.  :meth:`log_variances` is the one place that maps segment bounds
+    to shift ranges and log-variances; the change-point search and the
+    per-segment fits both read it.
     """
 
     def __init__(self, path, wavelet, grid):
@@ -150,7 +112,7 @@ class ScalogramTable:
         self.path = path
         self.wavelet = wavelet
         self.grid = grid
-        self.trim = grid.trim if wavelet.is_band_limited else 0.0
+        self.trim = grid.trim
         self.n = path.n
         self.scales = grid.scales
         self.sq_prefix = []
@@ -158,23 +120,54 @@ class ScalogramTable:
             e = coefficients_at_scale(path, wavelet, a)
             self.sq_prefix.append(np.concatenate([[0.0], np.cumsum(e ** 2)]))
 
-    def seg_variance(self, scale_index, k_lo, k_hi):
-        return _variance_from_squares(
-            self.sq_prefix[scale_index],
-            self.scales[scale_index],
-            k_lo,
-            k_hi,
-            self.trim,
-        )
+    def log_variances(self, k_lo, k_hi):
+        """Yield, scale by scale, log S over the segments [k_lo, k_hi).
+
+        The bounds broadcast against each other and lie in [0, N].  Each
+        step yields the log-variances, the feasibility mask and the shift
+        range [p_lo, p_hi) on the scale's grid.  The mask is one array,
+        updated in place: it is False where the segment has fewer than 2
+        shifts or zero variance at this scale or an earlier one, and the
+        log-variance is 0 there.
+        """
+        k_lo = np.asarray(k_lo, dtype=float)
+        k_hi = np.asarray(k_hi, dtype=float)
+        trim = self.trim
+        length = k_hi - k_lo
+        ok = np.ones(length.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_len = np.log(length)
+        # Untrimmed shift ranges depend on one bound each, so they stay at the
+        # bounds' own (unbroadcast) shapes until the prefix sums are differenced.
+        lo, hi = (k_lo + trim * length, k_hi - trim * length) if trim else (k_lo, k_hi)
+        for a, prefix in zip(self.scales, self.sq_prefix):
+            p_lo = np.floor(lo / a).astype(np.int64)
+            p_hi = np.floor(hi / a).astype(np.int64)
+            ok &= p_hi - p_lo >= 2
+            sums = prefix.take(p_hi, mode="clip") - prefix.take(p_lo, mode="clip")
+            ok &= sums > 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                y = math.log(a / (1.0 - 2.0 * trim)) - log_len + np.log(sums)
+            # Rebinding y frees the unmasked values before the caller runs.
+            y = np.where(ok, y, 0.0)
+            yield y, ok, p_lo, p_hi
 
     def log_variance_vector(self, k_lo, k_hi):
-        svals = np.array(
-            [self.seg_variance(i, k_lo, k_hi) for i in range(len(self.scales))]
-        )
-        if np.any(svals <= 0.0):
+        """Vector of log S over the scale grid for the segment [k_lo, k_hi),
+        trimmed per the grid."""
+        if not 0 <= k_lo < k_hi <= self.n:
+            raise ValidationError("segment bounds fall outside the path")
+        ys = []
+        for a, (y, ok, p_lo, p_hi) in zip(self.scales, self.log_variances(k_lo, k_hi)):
+            if p_hi - p_lo < 2:
+                raise ValidationError(
+                    f"segment too short: {p_hi - p_lo} shifts at scale {a}"
+                )
+            ys.append(y)
+        if not ok:
             raise NumericError("nonpositive variance: degenerate segment")
         return LogVarianceVector(
-            y=np.log(svals),
+            y=np.array(ys),
             k_lo=int(k_lo),
             k_hi=int(k_hi),
             n_eff=(k_hi - k_lo) / self.grid.base,
@@ -182,31 +175,7 @@ class ScalogramTable:
         )
 
 
-def log_variance_vector(path, wavelet, grid, k_lo, k_hi):
-    """Vector of log S over the scale grid for the segment [k_lo, k_hi);
-    trimmed per the grid when the wavelet is band-limited."""
-    return ScalogramTable(path, wavelet, grid).log_variance_vector(k_lo, k_hi)
-
-
 def design_matrix(grid):
     """ell x 2 regression design: first column log(r_i * base), second 1."""
     x = grid.log_scales
     return np.column_stack([x, np.ones_like(x)])
-
-
-def segment_cost(y, design):
-    """Residual sum of squares of the best line through (log scale, y).
-
-    Equals ||(I - P_L) y||^2 for the two-column design L; computed through
-    the centered normal equations.
-    """
-    y = np.asarray(getattr(y, "y", y), dtype=float)
-    x = design[:, 0]
-    if y.shape != x.shape:
-        raise ValidationError("y and design have mismatched lengths")
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
-    assert sxx > 0.0, "design matrix is rank deficient"
-    yc = y - y.mean()
-    rss = float(yc @ yc) - float(xc @ yc) ** 2 / sxx
-    return max(rss, 0.0)

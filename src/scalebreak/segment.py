@@ -1,7 +1,8 @@
 """Change-point search: contrast minimization over m change instants.
 
 The contrast of a candidate segmentation is the sum over segments of the
-log-log regression residual (see :func:`scalebreak.scalogram.segment_cost`),
+residual of the log-log regression of the segment's log-variances
+(:meth:`scalebreak.scalogram.ScalogramTable.log_variances`) on log scale,
 optionally in its precision-weighted, length-scaled form.  Minimization
 runs over a candidate grid (segment costs only change where a boundary
 crosses some scale's shift grid, so a stride equal to the base scale is
@@ -21,12 +22,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .scalogram import ScalogramTable, design_matrix, segment_cost
+from .scalogram import ScalogramTable
 
 __all__ = [
     "SegmentationConstraints",
     "ChangePointResult",
-    "contrast",
     "detect",
     "shrink",
 ]
@@ -86,10 +86,6 @@ def _pair_costs(table, k_lo, k_hi, min_len, objective="plain"):
     at some scale, or with vanishing variance) get +inf.
     """
     grid = table.grid
-    k_lo = np.asarray(k_lo, dtype=float)
-    k_hi = np.asarray(k_hi, dtype=float)
-    length = k_hi - k_lo
-    feasible = length >= min_len
     x = grid.log_scales
     if objective == "plain":
         weights = np.ones(grid.ell)
@@ -100,35 +96,18 @@ def _pair_costs(table, k_lo, k_hi, min_len, objective="plain"):
     wsum = weights.sum()
     xc = x - (weights * x).sum() / wsum
     sxx = float(weights @ (xc * xc))
-    trim = table.trim
-    q0 = np.zeros(np.broadcast(k_lo, k_hi).shape)
+    length = np.asarray(k_hi, dtype=float) - np.asarray(k_lo, dtype=float)
+    q0 = np.zeros(length.shape)
     q1 = np.zeros_like(q0)
     q2 = np.zeros_like(q0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_len = np.log(length)
-    # Untrimmed shift ranges depend on one bound each, so they stay at the
-    # bounds' own (unbroadcast) shapes until the prefix sums are differenced.
-    lo, hi = (k_lo + trim * length, k_hi - trim * length) if trim else (k_lo, k_hi)
-    for i, a in enumerate(table.scales):
-        prefix = table.sq_prefix[i]
-        p_lo = np.floor(lo / a).astype(np.int64)
-        p_hi = np.floor(hi / a).astype(np.int64)
-        ok = feasible & (p_hi - p_lo >= 2)
-        sums = prefix[np.clip(p_hi, 0, prefix.size - 1)] - prefix[
-            np.clip(p_lo, 0, prefix.size - 1)
-        ]
-        ok &= sums > 0.0
-        feasible = ok
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = math.log(a / (1.0 - 2.0 * trim)) - log_len + np.log(sums)
-        y = np.where(ok, y, 0.0)
+    for i, (y, ok, *_) in enumerate(table.log_variances(k_lo, k_hi)):
         q0 += weights[i] * (y * y)
         q1 += (weights[i] * xc[i]) * y
         q2 += weights[i] * y
     cost = q0 - q2 * q2 / wsum - q1 * q1 / sxx
     if objective == "stabilized":
         cost = cost * length
-    return np.where(feasible, np.maximum(cost, 0.0), np.inf)
+    return np.where(ok & (length >= min_len), np.maximum(cost, 0.0), np.inf)
 
 
 def _candidates(n, stride):
@@ -190,26 +169,6 @@ def _search(table, cands, m, min_len, gap, objective):
         if j == m:
             g = totals[picks[-1]]
     return float(g), picks[1:]
-
-
-def contrast(path, wavelet, grid, ks, min_len=None):
-    """Contrast value of a fixed segmentation: the sum of per-segment
-    regression residuals over [0, k_1), ..., [k_m, N)."""
-    ks = [int(k) for k in ks]
-    n = path.n
-    bounds = [0] + ks + [n]
-    if any(b <= a for a, b in zip(bounds, bounds[1:])):
-        raise ValidationError("change instants must be strictly increasing in (0, N)")
-    if min_len is not None and any(
-        b - a < min_len for a, b in zip(bounds, bounds[1:])
-    ):
-        raise ValidationError("a segment is shorter than min_len")
-    table = ScalogramTable(path, wavelet, grid)
-    design = design_matrix(grid)
-    return sum(
-        segment_cost(table.log_variance_vector(a, b), design)
-        for a, b in zip(bounds, bounds[1:])
-    )
 
 
 def detect(path, wavelet, grid, constraints, table=None, objective="plain"):

@@ -13,7 +13,9 @@ Riemann sum
 
     e(a, b) = delta/sqrt(a) * sum_{p=1..N} psi((p - b)/a) X_{p delta},
 
-with ``a`` and ``b`` expressed in sample-index units.
+with ``a`` and ``b`` expressed in sample-index units.  The package
+evaluates it at integer scales ``a`` and on each scale's own shift grid
+b = a p.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ __all__ = [
     "BandLimitedWavelet",
     "make_compact_poly",
     "make_band_limited",
-    "coeff",
-    "psi_hat",
     "coefficients_at_scale",
 ]
 
@@ -293,65 +293,31 @@ def make_band_limited(lam, mu):
     return _band_cache[key]
 
 
-def psi_hat(wavelet, xi):
-    """Fourier transform of the analyzing wavelet at ``xi``."""
-    return wavelet.psi_hat(xi)
-
-
-def coeff(path, wavelet, a, b):
-    """Wavelet coefficient e(a, b) of the sampled path (see module docs).
-
-    For the compact wavelet the support window [b, b+a] must lie inside
-    [0, N]; band-limited evaluation is truncated to the effective support
-    and the caller is expected to trim shifts near the path edges.
-    """
-    a = float(a)
-    if a < wavelet.a_min:
-        raise ValidationError(f"scale {a} below the minimum {wavelet.a_min}")
-    n = path.n
-    vals = path.values
-    if not wavelet.is_band_limited:
-        if b < 0.0 or b + a > n:
-            raise ValidationError(
-                f"support window [{b}, {b + a}] falls outside the path"
-            )
-        p_lo = max(1, int(math.ceil(b)))
-        p_hi = int(math.floor(b + a))
-    else:
-        p_lo = max(1, int(math.ceil(b - a * wavelet.support_radius)))
-        p_hi = min(n, int(math.floor(b + a * wavelet.support_radius)))
-    if p_hi < p_lo:
-        return 0.0
-    p = np.arange(p_lo, p_hi + 1)
-    w = wavelet.evaluate((p - b) / a)
-    return float(path.delta / math.sqrt(a) * np.dot(w, vals[p]))
-
-
 def coefficients_at_scale(path, wavelet, a):
-    """All coefficients e(a, a*p), p = 0..floor(N/a)-1, in one pass.
+    """All coefficients e(a, a*p), p = 0..floor(N/a)-1, at the integer scale
+    ``a``, in one pass.
 
-    Matches :func:`coeff` exactly; the sum order over samples is fixed
-    (ascending p) so results do not depend on evaluation strategy.
+    The sum order over samples is fixed (ascending p) so results do not
+    depend on evaluation strategy.
     """
     a = float(a)
     if a < wavelet.a_min:
         raise ValidationError(f"scale {a} below the minimum {wavelet.a_min}")
+    if not a.is_integer():
+        raise ValidationError(f"scale {a} is not an integer")
     n = path.n
     n_shifts = int(math.floor(n / a))
     if n_shifts < 1:
         raise ValidationError("path shorter than one scale window")
     scale_factor = path.delta / math.sqrt(a)
-    if not wavelet.is_band_limited and float(a).is_integer():
-        ai = int(a)
+    ai = int(a)
+    if not wavelet.is_band_limited:
         kernel = wavelet.evaluate(np.arange(ai) / a)
         blocks = path.values[: n_shifts * ai].reshape(n_shifts, ai)
         return scale_factor * (blocks @ kernel)
-    if wavelet.is_band_limited and float(a).is_integer():
-        ai = int(a)
-        j_half, kernel = wavelet.kernel(ai)
-        x = path.values.copy()
-        x[0] = 0.0  # the coefficient sum starts at p = 1
-        conv = fftconvolve(x, kernel[::-1])
-        shifts = ai * np.arange(n_shifts)
-        return scale_factor * conv[shifts + j_half]
-    return np.array([coeff(path, wavelet, a, a * p) for p in range(n_shifts)])
+    j_half, kernel = wavelet.kernel(ai)
+    x = path.values.copy()
+    x[0] = 0.0  # the coefficient sum starts at p = 1
+    conv = fftconvolve(x, kernel[::-1])
+    shifts = ai * np.arange(n_shifts)
+    return scale_factor * conv[shifts + j_half]

@@ -28,7 +28,6 @@ from scalebreak import (
     make_band_limited,
     make_compact_poly,
     ols_theta,
-    psi_hat,
 )
 
 W3 = make_compact_poly(3)
@@ -99,10 +98,10 @@ class TestGammaLrd:
         g = gamma_lrd(d_exp, grid, W3)
 
         def integrand_num(u, s):
-            val = psi_hat(W3, u) * np.conj(psi_hat(W3, u))
+            val = W3.psi_hat(u) * np.conj(W3.psi_hat(u))
             return (val.real * math.cos(s * u)) * u ** (-d_exp)
 
-        j_norm = quad(lambda u: abs(psi_hat(W3, u)) ** 2 * u ** (-d_exp),
+        j_norm = quad(lambda u: abs(W3.psi_hat(u)) ** 2 * u ** (-d_exp),
                       0, 120, limit=400)[0]
         total = 0.0
         for m in range(0, 40):
@@ -295,7 +294,9 @@ class TestGammaLocfrac:
         g = gamma_locfrac(0.6, grid, WBL, trim=0.1)
         assert g[0, 2] == 0.0  # 40 * 2.0 > 4 * 3.0 -> dilated supports disjoint
         assert g[0, 1] == 0.0  # 10 * 2 = 20 > 4 * 3 = 12
-        assert g[1, 2] != 0.0 or True  # diagonal neighbours may still overlap
+        assert g[1, 2] == 0.0  # (10, 40) reduces to (1, 4): eta in [2, 0.75] is empty
+        # Scales 10 and 13 overlap on eta in [0.2, 0.231].
+        assert gamma_locfrac(0.6, self.GRID, WBL, trim=0.1)[0, 1] != 0.0
 
     def test_trim_inflates_variance(self):
         g0 = gamma_locfrac(0.6, self.GRID, WBL, trim=0.0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import segment_cost
 from scalebreak import (
     NumericError,
     PiecewiseSpec,
@@ -12,11 +13,8 @@ from scalebreak import (
     ScaleGrid,
     ValidationError,
     design_matrix,
-    log_variance_vector,
+    make_band_limited,
     make_compact_poly,
-    seg_variance,
-    seg_variance_trimmed,
-    segment_cost,
     simulate_piecewise,
 )
 from scalebreak.scalogram import ScalogramTable
@@ -29,6 +27,23 @@ def two_by_two_rss(y, x):
     theta, *_ = np.linalg.lstsq(design, y, rcond=None)
     r = y - design @ theta
     return float(r @ r)
+
+
+def seg_variance(path, wavelet, a, k_lo, k_hi, trim=0.0):
+    """S at scale ``a`` over [k_lo, k_hi), read off the table of a grid
+    whose base scale is ``a``."""
+    table = ScalogramTable(path, wavelet, ScaleGrid(a, (1, 2, 3), trim=trim))
+    return math.exp(table.log_variance_vector(k_lo, k_hi).y[0])
+
+
+def direct_variance(path, wavelet, a, k_lo, k_hi, trim=0.0):
+    """S from its definition: squared coefficients summed over the shifts
+    [(k + w L)/a] .. [(k' - w L)/a]-1, times a/((1 - 2w) L)."""
+    length = k_hi - k_lo
+    e = coefficients_at_scale(path, wavelet, a)
+    p_lo = math.floor((k_lo + trim * length) / a)
+    p_hi = math.floor((k_hi - trim * length) / a)
+    return a / ((1.0 - 2.0 * trim) * length) * float(np.sum(e[p_lo:p_hi] ** 2))
 
 
 class TestScaleGrid:
@@ -55,7 +70,7 @@ class TestSegVariance:
         rng = np.random.default_rng(0)
         path = SampledPath(values=rng.normal(size=513))
         w = make_compact_poly(3)
-        a, k_lo, k_hi = 8.0, 0, 512
+        a, k_lo, k_hi = 8, 0, 512
         e = coefficients_at_scale(path, w, a)
         count = 512 // 8
         s = seg_variance(path, w, a, k_lo, k_hi)
@@ -64,23 +79,33 @@ class TestSegVariance:
         )
 
     def test_zero_path_gives_zero(self):
+        # Zero variance masks every scale out and leaves log S at 0 there.
         path = SampledPath(values=np.zeros(513))
-        w = make_compact_poly(3)
-        assert seg_variance(path, w, 8.0, 0, 512) == 0.0
+        table = ScalogramTable(path, make_compact_poly(3), ScaleGrid(8, (1, 2, 4)))
+        steps = list(table.log_variances(0, 512))
+        assert [(int(p_lo), int(p_hi)) for *_, p_lo, p_hi in steps] == [
+            (0, 64), (0, 32), (0, 16)
+        ]
+        assert all(y == 0.0 and not ok for y, ok, *_ in steps)
 
     def test_segment_too_short(self):
         rng = np.random.default_rng(1)
         path = SampledPath(values=rng.normal(size=513))
         w = make_compact_poly(3)
         with pytest.raises(ValidationError):
-            seg_variance(path, w, 64.0, 0, 100)
+            seg_variance(path, w, 64, 0, 100)
+        # The array form masks out [0, 200), 1 shift at scales 128 and 192,
+        # and keeps [0, 512).
+        table = ScalogramTable(path, w, ScaleGrid(64, (1, 2, 3)))
+        *_, (_, ok, _, _) = table.log_variances(0, np.array([200, 512]))
+        assert ok.tolist() == [False, True]
 
     def test_shift_window_bounds_verbatim(self):
         # The shift set must be [k/a] .. [k'/a]-1 exactly.
         rng = np.random.default_rng(2)
         path = SampledPath(values=rng.normal(size=513))
         w = make_compact_poly(3)
-        a = 8.0
+        a = 8
         e = coefficients_at_scale(path, w, a)
         k_lo, k_hi = 37, 473
         p_lo, p_hi = int(37 // 8), int(473 // 8)
@@ -99,44 +124,41 @@ class TestSegVariance:
         slopes = []
         for seed in (77, 78, 79, 80):
             path = simulate_piecewise(spec, 20000, seed=seed)
-            y = log_variance_vector(path, w, grid, 0, 20000)
+            y = ScalogramTable(path, w, grid).log_variance_vector(0, 20000)
             slopes.append(np.polyfit(x, y.y, 1)[0])
         assert abs(np.mean(slopes) - 0.8) < 0.1
 
 
 class TestTrimmedVariance:
+    WBL = make_band_limited(2.0, 3.0)
+
     def test_zero_trim_equals_untrimmed(self):
         rng = np.random.default_rng(3)
         path = SampledPath(values=rng.normal(size=1025))
-        w = make_compact_poly(3)
-        assert seg_variance_trimmed(path, w, 8.0, 0, 1024, 0.0) == pytest.approx(
-            seg_variance(path, w, 8.0, 0, 1024), rel=1e-14
+        assert seg_variance(path, self.WBL, 8, 0, 1024, trim=0.0) == pytest.approx(
+            direct_variance(path, self.WBL, 8, 0, 1024), rel=1e-12
         )
 
-    def test_constant_squares_unchanged_by_trim(self):
-        # With equal e^2 the trimmed average equals the untrimmed one up to
-        # the floor effects of the shift window.
-        path = SampledPath(values=np.sin(0.35 * np.arange(2049)))
-        w = make_compact_poly(3)
-        a = 8.0
-        e = coefficients_at_scale(path, w, a)
-        const = SampledPath(values=np.zeros(2049))
-        # construct synthetic prefix with constant squares through the API:
-        # compare trimmed vs untrimmed on truly constant e^2 via direct calc
-        v = 1.7
-        k_lo, k_hi = 0, 2048
-        count_full = 2048 // 8
-        trim = 0.1
-        p_lo, p_hi = int((k_lo + trim * 2048) // 8), int((k_hi - trim * 2048) // 8)
-        s_trim = 8.0 / ((1 - 2 * trim) * 2048) * v * (p_hi - p_lo)
-        s_full = 8.0 / 2048 * v * count_full
-        assert s_trim == pytest.approx(s_full, rel=0.01)
+    def test_trimmed_matches_direct_sum(self):
+        # Every scale of a band-limited, trimmed table against the
+        # definition evaluated from the coefficients themselves.
+        rng = np.random.default_rng(9)
+        path = SampledPath(values=rng.normal(size=2049))
+        for trim in (0.1, 0.25):
+            grid = ScaleGrid(4, (1, 2, 3, 5), trim=trim)
+            table = ScalogramTable(path, self.WBL, grid)
+            for k_lo, k_hi in [(0, 2048), (37, 1500), (301, 1999)]:
+                y = table.log_variance_vector(k_lo, k_hi)
+                direct = [
+                    direct_variance(path, self.WBL, int(a), k_lo, k_hi, trim)
+                    for a in grid.scales
+                ]
+                np.testing.assert_allclose(np.exp(y.y), direct, rtol=1e-12)
 
     def test_trim_domain(self):
-        path = SampledPath(values=np.zeros(257))
-        w = make_compact_poly(3)
-        with pytest.raises(ValidationError):
-            seg_variance_trimmed(path, w, 8.0, 0, 256, 0.6)
+        for trim in (-0.1, 0.6):
+            with pytest.raises(ValidationError):
+                ScaleGrid(8, (1, 2, 3), trim=trim)
 
 
 class TestLogVarianceVector:
@@ -152,17 +174,25 @@ class TestLogVarianceVector:
         w = make_compact_poly(3)
         grid = ScaleGrid(8, (1, 2, 4))
         with pytest.raises(NumericError):
-            log_variance_vector(path, w, grid, 0, 1024)
+            ScalogramTable(path, w, grid).log_variance_vector(0, 1024)
 
     def test_fields(self):
         rng = np.random.default_rng(4)
         path = SampledPath(values=rng.normal(size=1025))
         w = make_compact_poly(3)
         grid = ScaleGrid(8, (1, 2, 4))
-        y = log_variance_vector(path, w, grid, 0, 1024)
+        y = ScalogramTable(path, w, grid).log_variance_vector(0, 1024)
         assert y.y.shape == (3,)
         assert y.n_eff == pytest.approx(1024 / 8)
         assert y.k_lo == 0 and y.k_hi == 1024
+
+    def test_bounds_outside_path_rejected(self):
+        rng = np.random.default_rng(6)
+        path = SampledPath(values=rng.normal(size=1025))
+        table = ScalogramTable(path, make_compact_poly(3), ScaleGrid(8, (1, 2, 4)))
+        for k_lo, k_hi in [(-8, 512), (0, 1030), (600, 500)]:
+            with pytest.raises(ValidationError):
+                table.log_variance_vector(k_lo, k_hi)
 
     def test_trim_only_for_band_limited(self):
         rng = np.random.default_rng(5)
@@ -244,8 +274,10 @@ def test_path_scaling_shifts_y_and_preserves_cost():
     vals = rng.normal(size=2049)
     w = make_compact_poly(3)
     grid = ScaleGrid(8, (1, 2, 4, 8))
-    y1 = log_variance_vector(SampledPath(values=vals), w, grid, 0, 2048)
-    y2 = log_variance_vector(SampledPath(values=3.0 * vals), w, grid, 0, 2048)
+    y1 = ScalogramTable(SampledPath(values=vals), w, grid).log_variance_vector(0, 2048)
+    y2 = ScalogramTable(SampledPath(values=3.0 * vals), w, grid).log_variance_vector(
+        0, 2048
+    )
     np.testing.assert_allclose(y2.y - y1.y, 2.0 * math.log(3.0), rtol=1e-10)
     L = design_matrix(grid)
     assert segment_cost(y2, L) == pytest.approx(segment_cost(y1, L), rel=1e-8)

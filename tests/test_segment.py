@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import contrast, segment_cost
 from scalebreak import (
     PiecewiseSpec,
     SampledPath,
     ScaleGrid,
     SegmentationConstraints,
     ValidationError,
-    contrast,
     design_matrix,
     detect,
-    log_variance_vector,
     make_band_limited,
     make_compact_poly,
-    segment_cost,
     shrink,
     simulate_piecewise,
 )
@@ -58,7 +56,7 @@ GRID = ScaleGrid(4, (1, 2, 3))
 class TestContrast:
     def test_m0_equals_whole_series_cost(self):
         path = random_path(512, 0)
-        y = log_variance_vector(path, W3, GRID, 0, 512)
+        y = ScalogramTable(path, W3, GRID).log_variance_vector(0, 512)
         expected = segment_cost(y, design_matrix(GRID))
         assert contrast(path, W3, GRID, []) == pytest.approx(expected, rel=1e-12)
 
@@ -66,10 +64,9 @@ class TestContrast:
         path = random_path(512, 1)
         ks = [200, 360]
         total = contrast(path, W3, GRID, ks)
+        table = ScalogramTable(path, W3, GRID)
         parts = [
-            segment_cost(
-                log_variance_vector(path, W3, GRID, a, b), design_matrix(GRID)
-            )
+            segment_cost(table.log_variance_vector(a, b), design_matrix(GRID))
             for a, b in [(0, 200), (200, 360), (360, 512)]
         ]
         assert total == pytest.approx(sum(parts), rel=1e-12)

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import coeff
 from scalebreak import (
     SampledPath,
+    ScaleGrid,
     ValidationError,
-    coeff,
     coefficients_at_scale,
     make_band_limited,
     make_compact_poly,
-    psi_hat,
 )
 
 
@@ -66,13 +66,13 @@ class TestCompactPoly:
 class TestPsiHat:
     def test_zero_frequency_vanishes(self):
         w = make_compact_poly(3)
-        assert abs(psi_hat(w, 0.0)) <= 1e-12
+        assert abs(w.psi_hat(0.0)) <= 1e-12
 
     def test_derivatives_vanish_up_to_q(self):
         # psi_hat(xi) ~ (-i)^q m_q xi^q / q! near 0, so |psi_hat| at small xi
         # scales like xi^q.
         w = make_compact_poly(3)
-        assert abs(psi_hat(w, 0.1)) / abs(psi_hat(w, 0.05)) == pytest.approx(
+        assert abs(w.psi_hat(0.1)) / abs(w.psi_hat(0.05)) == pytest.approx(
             2.0**3, rel=0.05
         )
 
@@ -80,7 +80,7 @@ class TestPsiHat:
         w = make_compact_poly(3)
         xi = np.array([0.5, 1.7, 12.0, 80.0])
         np.testing.assert_allclose(
-            np.abs(psi_hat(w, -xi)), np.abs(psi_hat(w, xi)), rtol=1e-10
+            np.abs(w.psi_hat(-xi)), np.abs(w.psi_hat(xi)), rtol=1e-10
         )
 
     def test_against_direct_quadrature(self):
@@ -89,7 +89,7 @@ class TestPsiHat:
         t = 0.5 * (nodes + 1.0)
         for xi in (0.7, 5.0, 33.3, 150.0):
             direct = np.sum(0.5 * wts * w.evaluate(t) * np.exp(-1j * xi * t))
-            assert psi_hat(w, xi) == pytest.approx(direct, abs=1e-6)
+            assert w.psi_hat(xi) == pytest.approx(direct, abs=1e-6)
 
     def test_table_equals_long_fft(self):
         # The table's bins against one zero-padded 2**22-point transform.
@@ -107,14 +107,14 @@ class TestPsiHat:
 class TestBandLimited:
     def test_hat_vanishes_at_zero(self):
         w = make_band_limited(2.0, 3.0)
-        assert psi_hat(w, 0.0) == 0.0
-        assert psi_hat(w, 1.99) == 0.0
-        assert psi_hat(w, 3.01) == 0.0
+        assert w.psi_hat(0.0) == 0.0
+        assert w.psi_hat(1.99) == 0.0
+        assert w.psi_hat(3.01) == 0.0
 
     def test_hat_is_even(self):
         w = make_band_limited(2.0, 3.0)
         xi = np.linspace(-4, 4, 41)
-        np.testing.assert_allclose(psi_hat(w, xi), psi_hat(w, -xi))
+        np.testing.assert_allclose(w.psi_hat(xi), w.psi_hat(-xi))
 
     def test_integral_of_psi_vanishes(self):
         w = make_band_limited(2.0, 3.0)
@@ -134,7 +134,7 @@ class TestCoeff:
     def test_zero_path(self):
         path = SampledPath(values=np.zeros(100))
         w = make_compact_poly(3)
-        assert coeff(path, w, 8.0, 16.0) == 0.0
+        assert np.all(coefficients_at_scale(path, w, 8) == 0.0)
 
     def test_impulse(self):
         n, p0 = 64, 20
@@ -142,9 +142,11 @@ class TestCoeff:
         vals[p0] = 1.0
         path = SampledPath(values=vals)
         w = make_compact_poly(3)
-        a, b = 8.0, 16.0
-        expected = 1.0 / math.sqrt(a) * w.evaluate((p0 - b) / a)
-        assert coeff(path, w, a, b) == pytest.approx(expected, rel=1e-12)
+        a, p = 8, 2
+        expected = 1.0 / math.sqrt(a) * w.evaluate((p0 - a * p) / a)
+        e = coefficients_at_scale(path, w, a)
+        assert e[p] == pytest.approx(expected, rel=1e-12)
+        assert np.count_nonzero(e) == 1
 
     def test_constant_path_residual_bounded(self):
         # Discrete vanishing-moment residual obeys |e| <= C / a; the double
@@ -154,7 +156,8 @@ class TestCoeff:
         path = SampledPath(values=np.ones(n + 1))
         w = make_compact_poly(3)
         for a in (8, 16, 32, 64):
-            assert abs(coeff(path, w, float(a), float(2 * a))) <= 1e-10 / a + 1e-12
+            e = coefficients_at_scale(path, w, a)
+            assert np.max(np.abs(e)) <= 1e-10 / a + 1e-12
 
     def test_linearity_exact(self):
         rng = np.random.default_rng(5)
@@ -162,16 +165,19 @@ class TestCoeff:
         y = rng.normal(size=129)
         px, py = SampledPath(values=x), SampledPath(values=y)
         pxy = SampledPath(values=x + y)
-        w = make_compact_poly(3)
-        assert coeff(pxy, w, 8.0, 24.0) == pytest.approx(
-            coeff(px, w, 8.0, 24.0) + coeff(py, w, 8.0, 24.0), rel=1e-12
-        )
+        for w in (make_compact_poly(3), make_band_limited(2.0, 3.0)):
+            np.testing.assert_allclose(
+                coefficients_at_scale(pxy, w, 8),
+                coefficients_at_scale(px, w, 8) + coefficients_at_scale(py, w, 8),
+                rtol=1e-12,
+                atol=1e-14,
+            )
 
     def test_scale_below_minimum_rejected(self):
         path = SampledPath(values=np.zeros(50))
         w = make_compact_poly(3)
         with pytest.raises(ValidationError):
-            coeff(path, w, 0.5, 4.0)
+            coefficients_at_scale(path, w, 0.5)
 
     def test_window_out_of_range(self):
         path = SampledPath(values=np.zeros(50))
@@ -186,8 +192,10 @@ class TestCoeff:
         p1 = SampledPath(values=vals, delta=1.0)
         p2 = SampledPath(values=vals, delta=0.5)
         w = make_band_limited(2.0, 3.0)
-        assert coeff(p2, w, 8.0, 50.0) == pytest.approx(
-            0.5 * coeff(p1, w, 8.0, 50.0)
+        np.testing.assert_allclose(
+            coefficients_at_scale(p2, w, 8),
+            0.5 * coefficients_at_scale(p1, w, 8),
+            rtol=1e-12,
         )
 
 
@@ -221,3 +229,12 @@ class TestCoefficientsAtScale:
         path = SampledPath(values=np.zeros(101))
         w = make_compact_poly(2)
         assert coefficients_at_scale(path, w, float(a)).size == 100 // a
+
+    def test_non_integer_scale_rejected(self):
+        path = SampledPath(values=np.zeros(101))
+        for w in (make_compact_poly(3), make_band_limited(2.0, 3.0)):
+            with pytest.raises(ValidationError):
+                coefficients_at_scale(path, w, 8.5)
+        with pytest.raises(ValidationError):
+            ScaleGrid(2.5, (1, 2, 3))
+        assert ScaleGrid(8.0, (1, 2, 3)).base == 8
