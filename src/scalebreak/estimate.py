@@ -11,15 +11,21 @@ chi-square with ell-2 degrees of freedom.
 
 The Gamma matrices implemented here follow from the covariance structure
 of nonoverlapping-shift wavelet variances with integer scale ratios
-(d = gcd(r_p, r_q)):
+(d = gcd(r_p, r_q), (p, q) = (r_p, r_q) / d coprime):
 
 * spectral form (stationary long-memory series, exponent alpha = D; and
   band-limited processes, alpha = 2H+1 with spectral exponent D = 2H+1):
 
-    gamma_pq = 2 d (r_p r_q)^(1-D) / (1-2w) * sum_m [ I_pq(d m) / J ]^2,
-    I_pq(s)  = int_0^inf Re[ psi_hat(r_p u) conj(psi_hat(r_q u)) e^{i s u} ]
-               u^{-D} du,
-    J        = int_0^inf |psi_hat(u)|^2 u^{-D} du;
+    gamma_{r_p r_q} = 2 d (p q)^(1-D) / (1-2w) * sum_m [ Re A(m) / J ]^2,
+    A(m) = int_0^inf psi_hat(p eta) conj(psi_hat(q eta)) eta^{-D} e^{i m eta} d eta,
+    J    = int_0^inf |psi_hat(u)|^2 u^{-D} du.
+
+  By Parseval the lag sum is (pi/2) int_0^{2 pi} |F|^2 / J^2, with F the
+  2 pi-periodization of A's integrand g extended to eta < 0 as conj(g).
+  Compact wavelets sample F on the lattice 2 pi n / M (M = 1024) from one
+  closed-form psi_hat table, cut where an integration-by-parts bound
+  leaves at most 1e-10 of J.  Band-limited wavelets need mu <= pi: g then
+  lies in (0, pi], nothing folds, and the sum is pi int |g|^2 / J^2;
 
 * time-domain form (piecewise self-similar paths, alpha = 2H+1):
 
@@ -60,10 +66,8 @@ __all__ = [
 ]
 
 _RIDGE = 1e-8
-_REL_TOL = 1e-10
+_LAG_RTOL = 1e-10
 _MAX_LAG_TERMS = 4096
-_LAG_BLOCK = 16
-_TOL, _FLOOR = 1, 2  # lag-sum stop reasons
 
 _log = logging.getLogger("scalebreak")
 
@@ -153,7 +157,8 @@ def ols_theta(y, design, gamma=None, n_eff=None):
         raise ValidationError("y and design have mismatched lengths")
     xc = x - x.mean()
     sxx = float(xc @ xc)
-    assert sxx > 0.0, "design matrix is rank deficient"
+    if not sxx > 0.0:
+        raise ValidationError("design matrix is rank deficient")
     alpha = float(xc @ yv) / sxx
     log_beta = float(yv.mean() - alpha * x.mean())
     neff = _n_eff(y, n_eff)
@@ -230,10 +235,12 @@ def confidence_interval(estimate, level):
 # Asymptotic covariance matrices
 # ---------------------------------------------------------------------------
 
-_N_QUAD = 8192  # Simpson intervals per pair integral
+_N_QUAD = 8192  # Simpson intervals per integral
+_LATTICE = 1024  # M, frequency lattice points per period 2 pi
+_TAIL = 1e-10  # bound on the part of J beyond the compact wavelet's cutoff
 
 # Recorded in result metadata so runs are reproducible bit for bit.
-QUADRATURE_META = {"simpson_intervals": _N_QUAD, "lag_rel_tol": _REL_TOL}
+QUADRATURE_META = {"simpson_intervals": _N_QUAD, "lattice_size": _LATTICE}
 
 
 def _simpson_rule(lo, hi):
@@ -246,151 +253,102 @@ def _simpson_rule(lo, hi):
     return np.linspace(lo, hi, _N_QUAD + 1), w * ((hi - lo) / _N_QUAD / 3.0)
 
 
+def _power(eta, d_exp):
+    """eta^-D, taken as 0 at eta = 0, where psi_hat's zero of order q wins."""
+    out = np.zeros_like(eta)
+    np.power(eta, -d_exp, out=out, where=eta > 0.0)
+    return out
+
+
 def _effective_cutoff(wavelet, d_exp):
-    """Radius holding all but 1e-12 of int |psi_hat|^2 u^-D du."""
-    x = np.linspace(0.0, 600.0, 1 << 16)
-    g = np.abs(wavelet.psi_hat(x)) ** 2
-    with np.errstate(divide="ignore"):
-        g = np.where(x > 0.0, g * x ** (-d_exp), 0.0)
-    csum = np.cumsum(g)
-    total = csum[-1]
-    idx = int(np.searchsorted(csum, (1.0 - 1e-12) * total))
-    return float(x[min(idx + 1, x.size - 1)])
+    """Radius X with int_X^inf |psi_hat|^2 u^-D du at most _TAIL J.
 
-
-def _lag_sums(wavelet, d_exp, pairs, names, j_norm, cutoff):
-    """sum_m [I_pq(m)/J]^2 for coprime ratio pairs (p, q) on one eta grid.
-
-    The lags m = 1, 2, ... are taken _LAG_BLOCK at a time, for every pair
-    at once: one matrix product meets the first block's phases exp(i m eta)
-    with the integrands, which are rotated by exp(i _LAG_BLOCK eta) after
-    each block.  Each pair stops at the first block end where the block
-    adds less than _REL_TOL of its total, or where tiny blocks stop
-    decreasing (the quadrature noise floor, not the true tail, is being
-    summed).  Returns the sums, the lag terms each pair used and its stop
-    reason (_TOL, _FLOOR, or 0 for disjoint bands); ``names`` are the scale
-    pairs that a convergence failure reports.
+    psi vanishes to second order at 0 and 1, so integration by parts gives
+    |psi_hat(u)| <= sum_{k>=2} c_k u^-(k+1), c_k = |P^(k)(0)| + |P^(k)(1)|,
+    and the tail is at most sum_{k,l} c_k c_l X^-e / e, e = k + l + 1 + D.
+    J is at least its part on [0, 8 pi].  X is the first point of a
+    geometric grid (ratio 1.0034) where the bound falls below _TAIL J.
     """
-    n_pairs = len(pairs)
-    sums = np.zeros(n_pairs)
-    lags = np.zeros(n_pairs, dtype=int)
-    reason = np.zeros(n_pairs, dtype=int)
-    p_ratios = np.array([p for p, _ in pairs], dtype=float)
-    q = pairs[0][1]
-    if wavelet.is_band_limited:
-        lo = wavelet.lam / pairs[0][0]
-        hi = wavelet.mu / q
+    c = np.abs(wavelet.end_derivatives).sum(axis=0)[2:]
+    k = np.arange(2, c.size + 2)
+    e = k[:, None] + k + 1.0 + d_exp
+    u, w = _simpson_rule(0.0, 8.0 * math.pi)
+    target = _TAIL * float(np.abs(wavelet.psi_hat(u)) ** 2 @ (_power(u, d_exp) * w))
+    x = np.geomspace(1.0, 1e6, 4097)
+    bound = np.sum(np.outer(c, c) / e * x[:, None, None] ** -e, axis=(1, 2))
+    return float(x[np.argmax(bound <= target)])
+
+
+def _lattice_sums(wavelet, d_exp):
+    """Unnormalized pair sums of a compact wavelet, and J, on the lattice
+    eta_n = n h, h = 2 pi / M.
+
+    psi_hat is tabulated once at n h up to the cutoff, so psi_hat(p eta_n)
+    is entry p n.  The samples of g at n and of conj(g) at -n fold mod M
+    into F, and the pair sum is (pi/2) h sum_j |F_j|^2.
+    """
+    cutoff = _effective_cutoff(wavelet, d_exp)
+    _log.debug("spectral gamma: lattice M = %d, cutoff %.6g", _LATTICE, cutoff)
+    h = 2.0 * math.pi / _LATTICE
+    eta = h * np.arange(int(cutoff / h) + 1)
+    power = _power(eta, d_exp)
+    table = np.empty(eta.size, dtype=complex)
+    for s in range(0, eta.size, 1 << 14):  # psi_hat's temporaries scale with its input
+        table[s : s + (1 << 14)] = wavelet.psi_hat(eta[s : s + (1 << 14)])
+
+    def pair_sum(p, q):
+        count = (eta.size - 1) // q + 1
+        folded = np.zeros(-(-count // _LATTICE) * _LATTICE, dtype=complex)
+        folded[:count] = table[: p * count : p] * np.conj(table[: q * count : q])
+        folded[:count] *= power[:count]
+        folded = folded.reshape(-1, _LATTICE).sum(axis=0)
+        f = folded + np.conj(folded[-np.arange(_LATTICE)])
+        return 0.5 * math.pi * h * float(np.vdot(f, f).real)
+
+    return pair_sum, h * float(np.abs(table) ** 2 @ power)
+
+
+def _band_sums(wavelet, d_exp):
+    """Unnormalized pair sums of a band-limited wavelet with mu <= pi, and J.
+
+    The pair's g lives on [lam/p, mu/q], inside (0, pi], so nothing folds
+    and the pair sum is pi int |g|^2, one Simpson integral.
+    """
+
+    def pair_sum(p, q):
+        lo, hi = wavelet.lam / p, wavelet.mu / q
         if hi <= lo:
-            return sums, lags, reason
-    else:
-        lo = 0.0
-        hi = cutoff / q
-    eta, w = _simpson_rule(lo, hi)
-    with np.errstate(divide="ignore"):
-        power = np.where(eta > 0.0, eta ** (-d_exp), 0.0)
-    g = wavelet.psi_hat(np.outer(p_ratios, eta)) * np.conj(wavelet.psi_hat(q * eta))
-    g *= power * w
-    sums[:] = (g.real.sum(axis=1) / j_norm) ** 2
-    # Phases exp(i m eta) of the first block by recurrence, one complex
-    # multiply per lag; later blocks rotate the integrands instead.
-    phase = np.empty((_LAG_BLOCK, eta.size), dtype=complex)
-    phase[0] = np.exp(1j * eta)
-    for m in range(1, _LAG_BLOCK):
-        phase[m] = phase[m - 1] * phase[0]
-    rotation = phase[-1].copy()
-    # As real rows, conj(phase) interleaves (cos, -sin) and an integrand h
-    # interleaves (Re, Im), so one product gives Re sum exp(i m eta) h, that
-    # is cg - sg for h = g and cg + sg for h = conj(g), where
-    # cg = sum cos(m eta) Re g and sg = sum sin(m eta) Im g.
-    base = np.conj(phase).view(np.float64)
-    shifted = np.concatenate([g, np.conj(g)])
-    active = np.arange(n_pairs)
-    prev_block = np.full(n_pairs, np.inf)
-    for n_blocks in range(1, _MAX_LAG_TERMS // _LAG_BLOCK + 1):
-        terms = base @ shifted.view(np.float64).T
-        block = ((terms / j_norm) ** 2).reshape(_LAG_BLOCK, 2, -1).sum(axis=(0, 1))
-        total = sums[active] + block
-        sums[active] = total
-        tol = block < _REL_TOL * total
-        floor = ~tol & (block >= 0.5 * prev_block) & (block < 1e-7 * total)
-        done = tol | floor
-        reason[active[tol]] = _TOL
-        reason[active[floor]] = _FLOOR
-        lags[active[done]] = n_blocks * _LAG_BLOCK
-        if done.all():
-            return sums, lags, reason
-        if done.any():
-            active, prev_block = active[~done], block[~done]
-            shifted = shifted[np.tile(~done, 2)]
-        else:
-            prev_block = block
-        shifted *= rotation
-    raise NumericError(
-        f"lag sum for scale pair {names[active[0]]} did not converge "
-        f"within {_MAX_LAG_TERMS} terms"
-    )
+            return 0.0
+        eta, w = _simpson_rule(lo, hi)
+        g = np.abs(wavelet.psi_hat(p * eta) * wavelet.psi_hat(q * eta)) ** 2
+        return math.pi * float(g @ (_power(eta, 2.0 * d_exp) * w))
+
+    eta, w = _simpson_rule(wavelet.lam, wavelet.mu)
+    return pair_sum, float(np.abs(wavelet.psi_hat(eta)) ** 2 @ (_power(eta, d_exp) * w))
 
 
 def _spectral_gamma(d_exp, grid, wavelet, trim):
-    """Spectral-form Gamma, one lag sum per coprime ratio pair.
+    """Spectral-form Gamma, one pair sum per coprime ratio pair.
 
-    With d = gcd(r_p, r_q) and (p, q) = (r_p, r_q) / d, the Simpson grid of
-    (r_p, r_q) is that of (p, q) divided by d, so I_pq(d m) equals
-    d^(D-1) I_{p q}(m) node for node and gamma_{r_p r_q} = d gamma_{p q}.
-    Compact wavelets put every pair with the same q on one grid; for
-    band-limited wavelets the grid depends on p too.
+    With d = gcd(r_p, r_q) and (p, q) = (r_p, r_q) / d, substituting
+    u = d eta gives gamma_{r_p r_q} = d gamma_{p q}.
     """
-    ratios = grid.ratios
-    ell = len(ratios)
-    if wavelet.is_band_limited:
-        cutoff = None
-        j_eta, jw = _simpson_rule(wavelet.lam, wavelet.mu)
-    else:
-        cutoff = _effective_cutoff(wavelet, d_exp)
-        j_eta, jw = _simpson_rule(0.0, cutoff)
-    with np.errstate(divide="ignore"):
-        power = np.where(j_eta > 0.0, j_eta ** (-d_exp), 0.0)
-    j_norm = float(np.sum(np.abs(wavelet.psi_hat(j_eta)) ** 2 * power * jw))
+    sums = _band_sums if wavelet.is_band_limited else _lattice_sums
+    pair_sum, j_norm = sums(wavelet, d_exp)
     if not j_norm > 0.0:
         raise NumericError("normalizing integral vanished")
-    cells = {}
+    scale = 2.0 / ((1.0 - 2.0 * trim) * j_norm**2)
+    ratios = grid.ratios
+    ell = len(ratios)
+    gam = np.empty((ell, ell))
+    coprime = {}
     for i in range(ell):
         for k in range(i, ell):
             d = math.gcd(ratios[i], ratios[k])
-            cells.setdefault((ratios[i] // d, ratios[k] // d), []).append((i, k, d))
-    # Each coprime pair is named by its first scale pair in the grid.
-    names = {pair: (ratios[i], ratios[k]) for pair, ((i, k, _), *_) in cells.items()}
-    groups = {}
-    for pair in cells:
-        groups.setdefault(pair if wavelet.is_band_limited else pair[1], []).append(pair)
-    # A chunk's integrands and their conjugates fill at most ell complex
-    # rows of _N_QUAD + 1 nodes.
-    size = max(1, ell // 2)
-    sums, lags, reason = {}, {}, {}
-    for pairs in groups.values():
-        for start in range(0, len(pairs), size):
-            chunk = pairs[start : start + size]
-            out = _lag_sums(
-                wavelet, d_exp, chunk, [names[pair] for pair in chunk], j_norm, cutoff
-            )
-            for pair, s, n, why in zip(chunk, *out):
-                sums[pair], lags[pair], reason[pair] = s, n, why
-    gam = np.empty((ell, ell))
-    for (p, q), members in cells.items():
-        val = 2.0 * (p * q) ** (1.0 - d_exp) / (1.0 - 2.0 * trim) * sums[p, q]
-        for i, k, d in members:
-            gam[i, k] = gam[k, i] = d * val
-    if _log.isEnabledFor(logging.DEBUG):
-        worst = max(lags, key=lags.get)
-        _log.debug(
-            "gamma lag sums: %d lag terms over %d coprime ratio pairs; "
-            "%d stopped on tolerance, %d on the noise floor; "
-            "most lags %d, for scale pair %s",
-            sum(lags.values()), len(lags),
-            sum(r == _TOL for r in reason.values()),
-            sum(r == _FLOOR for r in reason.values()),
-            lags[worst], names[worst],
-        )
+            p, q = ratios[i] // d, ratios[k] // d
+            if (p, q) not in coprime:
+                coprime[p, q] = scale * (p * q) ** (1.0 - d_exp) * pair_sum(p, q)
+            gam[i, k] = gam[k, i] = d * coprime[p, q]
     return gam
 
 
@@ -408,6 +366,8 @@ def gamma_locfrac(hurst, grid, wavelet, trim, freq_band=None):
     trimmed variance statistic."""
     if not wavelet.is_band_limited:
         raise ValidationError("band-limited wavelet required")
+    if wavelet.mu > math.pi:
+        raise ValidationError("wavelet band must end at or below pi")
     if not 0.0 <= trim < 0.5:
         raise ValidationError("trim fraction must lie in [0, 1/2)")
     if freq_band is not None:
@@ -491,16 +451,14 @@ def gamma_fbm(hurst, grid, wavelet):
             r_p, r_q = ratios[p], ratios[q]
             d = math.gcd(r_p, r_q)
             total = (kern.w_pq(0.0, r_p, r_q) / w0) ** 2
-            k = 1
-            while k <= _MAX_LAG_TERMS:
+            for k in range(1, _MAX_LAG_TERMS + 1):
                 inc = (kern.w_pq(float(d * k), r_p, r_q) / w0) ** 2 + (
                     kern.w_pq(-float(d * k), r_p, r_q) / w0
                 ) ** 2
                 total += inc
                 # k >= 8 before trusting the tail: W can cross zero early.
-                if k >= 8 and inc < _REL_TOL * total:
+                if k >= 8 and inc < _LAG_RTOL * total:
                     break
-                k += 1
             else:
                 raise NumericError(
                     f"lag sum for scale pair ({r_p}, {r_q}) did not converge"

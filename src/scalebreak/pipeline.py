@@ -129,7 +129,7 @@ def default_params(
     if family in (Family.FGN, Family.FARIMA):
         if not 0.0 < kappa < 2.0 / 15.0:
             raise ValidationError("kappa must lie in (0, 2/15) for long-memory runs")
-        a = int(a_base) if a_base else max(2, round(n ** (0.2 + kappa)))
+        a = a_base if a_base else max(2, round(n ** (0.2 + kappa)))
         wavelet = make_compact_poly(q)
         grid = ScaleGrid(a, tuple(range(1, ell + 1)), trim=0.0)
         v = float(v_n) if v_n else n ** (0.4 - 3.0 * kappa)
@@ -149,7 +149,7 @@ def default_params(
             )
             det_objective = "stabilized"
     elif family is Family.FBM:
-        a = int(a_base) if a_base else max(2, round(n ** (1.0 / 3.0 + kappa)))
+        a = a_base if a_base else max(2, round(n ** (1.0 / 3.0 + kappa)))
         wavelet = make_compact_poly(q)
         grid = ScaleGrid(a, tuple(range(1, ell + 1)), trim=0.0)
         spread = exponent_spread
@@ -194,7 +194,7 @@ def default_params(
         ratios = tuple(int(round(x)) for x in np.linspace(r_lo, r_hi, ell))
         if len(set(ratios)) != ell:
             raise ValidationError("scale grid collapsed; reduce ell")
-        a = int(a_base) if a_base else 1
+        a = a_base if a_base else 1
         v = float(v_n) if v_n else n ** (0.5 - kappa)
         grid = ScaleGrid(a, ratios, trim=trim)
         det_grid, det_objective = grid, "stabilized" if profile == "tuned" else "plain"

@@ -52,8 +52,9 @@ class ScaleGrid:
     trim: float = 0.0
 
     def __post_init__(self):
-        if not float(self.base).is_integer():
-            raise ValidationError(f"base scale must be an integer, got {self.base}")
+        bad = [x for x in (self.base, *self.ratios) if not float(x).is_integer()]
+        if bad:
+            raise ValidationError(f"scales must be integers, got {bad[0]}")
         object.__setattr__(self, "base", int(self.base))
         object.__setattr__(self, "ratios", tuple(int(r) for r in self.ratios))
         if self.base <= 0:

@@ -35,13 +35,10 @@ __all__ = [
     "coefficients_at_scale",
 ]
 
-# Dense tabulation of psi_hat for the compact wavelet (used heavily by the
-# covariance quadratures): one zero-padded FFT gives the exact transform on
-# a uniform grid up to aliasing images below 1e-11.
-_FT_SAMPLES = 4096
-_FT_NFFT = 1 << 22
-_FT_PHASES = 32
-_FT_XMAX = 600.0
+# psi_hat of the compact wavelet: Taylor series below this radius, where
+# integration by parts cancels; 64 terms reach 8^64/64! < 1e-30.
+_TAYLOR_RADIUS = 8.0
+_TAYLOR_TERMS = 64
 
 
 def _beta3(n):
@@ -68,7 +65,18 @@ class CompactPolyWavelet:
         window = np.array([0.0, 0.0, 1.0, -2.0, 1.0])
         self.poly_coeffs = np.polynomial.polynomial.polymul(window, self.q_coeffs)
         self.support = (0.0, 1.0)
-        self._ft_table = None
+        # Rows P^(k)(0) and P^(k)(1), k = 0..deg, for the integration-by-parts
+        # form of psi_hat and its tail bound.
+        poly = np.polynomial.Polynomial(self.poly_coeffs)
+        self.end_derivatives = np.array(
+            [[poly.deriv(k)(t) for k in range(poly.coef.size)] for t in (0.0, 1.0)]
+        )
+        # Taylor coefficients m_k / k!; the first q moments vanish by
+        # construction.
+        self._taylor = np.array([
+            self.moment(k) / math.factorial(k) if k >= self.q else 0.0
+            for k in range(_TAYLOR_TERMS)
+        ])
 
     def __call__(self, t):
         return self.evaluate(t)
@@ -89,55 +97,27 @@ class CompactPolyWavelet:
         j = np.arange(self.q_coeffs.size)
         return float(np.dot(self.q_coeffs, _beta3(r + j + 2.0)))
 
-    def _build_ft_table(self):
-        """Bins k = 0..kmax of the _FT_NFFT-point DFT of the samples.
-
-        Bin k = P j + r (P = _FT_PHASES) is bin j of the (_FT_NFFT / P)-point
-        DFT of the samples twiddled by exp(-2 pi i r n / _FT_NFFT), so P
-        short transforms give the same bins as the long one.  The grid
-        reaches past _FT_XMAX, so interpolation never extrapolates.
-        """
-        m = _FT_SAMPLES
-        samples = self.evaluate(np.arange(m) / m)
-        dx = 2.0 * math.pi * m / _FT_NFFT
-        kmax = int(_FT_XMAX / dx) + 1
-        n_low = kmax // _FT_PHASES + 1
-        spec = np.empty(n_low * _FT_PHASES, dtype=complex)
-        n = np.arange(m)
-        for r in range(_FT_PHASES):
-            twiddled = samples * np.exp(-2j * math.pi * r * n / _FT_NFFT)
-            spec[r::_FT_PHASES] = np.fft.fft(twiddled, _FT_NFFT // _FT_PHASES)[:n_low]
-        table = spec[: kmax + 1] / m
-        self._ft_table = (dx * np.arange(table.size), table)
-
     def psi_hat(self, xi):
-        """Fourier transform psi_hat(xi) = int psi(t) exp(-i xi t) dt."""
-        xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
-        if self._ft_table is None:
-            self._build_ft_table()
-        nodes, table = self._ft_table
-        ax = np.abs(xi)
-        out = np.interp(ax, nodes, table)
-        far = ax > _FT_XMAX
-        if np.any(far):
-            out[far] = self._quad_psi_hat(ax[far])
-        neg = xi < 0.0
-        out[neg] = np.conj(out[neg])
-        return out[0] if scalar else out
+        """Fourier transform psi_hat(xi) = int_0^1 psi(t) exp(-i xi t) dt,
+        in closed form.
 
-    def _quad_psi_hat(self, xi_abs):
-        # Composite Gauss-Legendre fallback for |xi| beyond the table.
-        panels = int(np.ceil(np.max(xi_abs) / 40.0)) + 1
-        nodes, weights = np.polynomial.legendre.leggauss(24)
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        wts = (half[:, None] * weights[None, :]).ravel()
-        vals = self.evaluate(t) * wts
-        return np.exp(-1j * np.outer(xi_abs, t)) @ vals
+        Below |xi| = _TAYLOR_RADIUS it is the Taylor series
+        sum_k m_k (-i xi)^k / k! over the exact moments m_k; beyond, the
+        integration-by-parts sum, finite because psi is a polynomial P:
+        sum_k (i xi)^-(k+1) [P^(k)(0) - P^(k)(1) exp(-i xi)].
+        """
+        xi = np.asarray(xi, dtype=float)
+        out = np.empty(xi.shape, dtype=complex)
+        near = np.abs(xi) < _TAYLOR_RADIUS
+        out[near] = np.polynomial.polynomial.polyval(-1j * xi[near], self._taylor)
+        far = xi[~near]
+        z = 1.0 / (1j * far)
+        at0, at1 = self.end_derivatives
+        out[~near] = z * (
+            np.polynomial.polynomial.polyval(z, at0)
+            - np.exp(-1j * far) * np.polynomial.polynomial.polyval(z, at1)
+        )
+        return out if out.ndim else out[()]
 
 
 class BandLimitedWavelet:

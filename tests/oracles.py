@@ -4,15 +4,26 @@
 ``segment_cost`` fits one regression line through the centered normal
 equations, and ``contrast`` sums those fits over a fixed segmentation.  The
 package computes the same quantities in batch: ``coefficients_at_scale``
-and the pair costs of the change-point search.
+and the pair costs of the change-point search.  ``spectral_gamma`` sums the
+spectral covariance lag by lag, where the package folds it on a frequency
+lattice.
 """
 
 import math
 
 import numpy as np
 
-from scalebreak import ValidationError, design_matrix
+import scalebreak.estimate as estimate
+from scalebreak import NumericError, ValidationError, design_matrix
 from scalebreak.scalogram import ScalogramTable
+
+LAG_BLOCK = 16
+LAG_REL_TOL = 1e-10
+MAX_LAG_TERMS = 4096
+# Simpson intervals per pair.  Simpson's weights alias lag m onto
+# m - pi/step, so the step must keep pi/step beyond the lags the sum needs:
+# 16 384 intervals on [0, 850] put the first alias past lag 60.
+QUAD_INTERVALS = 1 << 14
 
 
 def coeff(path, wavelet, a, b):
@@ -80,3 +91,79 @@ def contrast(path, wavelet, grid, ks, min_len=None):
         segment_cost(table.log_variance_vector(a, b), design)
         for a, b in zip(bounds, bounds[1:])
     )
+
+
+def simpson_rule(lo, hi):
+    """Composite Simpson with QUAD_INTERVALS intervals on [lo, hi]."""
+    w = np.ones(QUAD_INTERVALS + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return np.linspace(lo, hi, QUAD_INTERVALS + 1), w * ((hi - lo) / QUAD_INTERVALS / 3.0)
+
+
+def pair_sum(wavelet, d_exp, r_p, r_q, j_norm, cutoff):
+    """sum_m [I_pq(d m)/J]^2 for one scale pair by the serial lag loop.
+
+    The pair's own Simpson grid, one complex phase step per lag, taken in
+    blocks of LAG_BLOCK lags.  It stops at the first block that adds less
+    than LAG_REL_TOL of the total, or where tiny blocks stop decreasing
+    (the quadrature noise floor, not the true tail, is being summed).
+    """
+    d = math.gcd(r_p, r_q)
+    if wavelet.is_band_limited:
+        lo = wavelet.lam / min(r_p, r_q)
+        hi = wavelet.mu / max(r_p, r_q)
+        if hi <= lo:
+            return d, 0.0
+    else:
+        lo = 0.0
+        hi = cutoff / max(r_p, r_q)
+    eta, w = simpson_rule(lo, hi)
+    g = wavelet.psi_hat(r_p * eta) * np.conj(wavelet.psi_hat(r_q * eta))
+    with np.errstate(divide="ignore"):
+        power = np.where(eta > 0.0, eta ** (-d_exp), 0.0)
+    gc = g.real * power * w
+    gs = g.imag * power * w
+    total = (float(np.sum(gc)) / j_norm) ** 2
+    phase_step = np.exp(1j * d * eta)
+    phase = phase_step.copy()
+    block_sum = 0.0
+    prev_block = np.inf
+    for m in range(1, MAX_LAG_TERMS + 1):
+        cg = float(phase.real @ gc)
+        sg = float(phase.imag @ gs)
+        block_sum += ((cg - sg) / j_norm) ** 2 + ((cg + sg) / j_norm) ** 2
+        if m % LAG_BLOCK == 0:
+            total += block_sum
+            if block_sum < LAG_REL_TOL * total:
+                return d, total
+            if block_sum >= 0.5 * prev_block and block_sum < 1e-7 * total:
+                return d, total
+            prev_block = block_sum
+            block_sum = 0.0
+        phase *= phase_step
+    raise NumericError(f"lag sum for scale pair ({r_p}, {r_q}) did not converge")
+
+
+def spectral_gamma(d_exp, grid, wavelet, trim):
+    """Spectral-form Gamma with one serial lag sum per scale pair, on the
+    package's cutoff."""
+    ratios = grid.ratios
+    ell = len(ratios)
+    if wavelet.is_band_limited:
+        cutoff = None
+        j_eta, jw = simpson_rule(wavelet.lam, wavelet.mu)
+    else:
+        cutoff = estimate._effective_cutoff(wavelet, d_exp)
+        j_eta, jw = simpson_rule(0.0, cutoff)
+    with np.errstate(divide="ignore"):
+        power = np.where(j_eta > 0.0, j_eta ** (-d_exp), 0.0)
+    j_norm = float(np.sum(np.abs(wavelet.psi_hat(j_eta)) ** 2 * power * jw))
+    gam = np.empty((ell, ell))
+    for p in range(ell):
+        for q in range(p, ell):
+            r_p, r_q = ratios[p], ratios[q]
+            d, lag_sum = pair_sum(wavelet, d_exp, r_p, r_q, j_norm, cutoff)
+            val = 2.0 * d * (r_p * r_q) ** (1.0 - d_exp) / (1.0 - 2.0 * trim) * lag_sum
+            gam[p, q] = gam[q, p] = val
+    return gam

@@ -11,6 +11,7 @@ from scalebreak import (
     ScaleGrid,
     ValidationError,
     coefficients_at_scale,
+    default_params,
     make_band_limited,
     make_compact_poly,
 )
@@ -87,21 +88,10 @@ class TestPsiHat:
         w = make_compact_poly(3)
         nodes, wts = np.polynomial.legendre.leggauss(400)
         t = 0.5 * (nodes + 1.0)
-        for xi in (0.7, 5.0, 33.3, 150.0):
-            direct = np.sum(0.5 * wts * w.evaluate(t) * np.exp(-1j * xi * t))
-            assert w.psi_hat(xi) == pytest.approx(direct, abs=1e-6)
-
-    def test_table_equals_long_fft(self):
-        # The table's bins against one zero-padded 2**22-point transform.
-        from scalebreak.wavelet import _FT_NFFT, _FT_SAMPLES
-
-        w = make_compact_poly(3)
-        w.psi_hat(1.0)
-        nodes, table = w._ft_table
-        samples = w.evaluate(np.arange(_FT_SAMPLES) / _FT_SAMPLES)
-        ref = np.fft.rfft(samples, _FT_NFFT)[: table.size] / _FT_SAMPLES
-        assert nodes[-1] >= 600.0 and table.flags.c_contiguous
-        assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
+        xi = np.concatenate([np.linspace(-20.0, 20.0, 401), [33.3, 150.0, 599.0, 1e3]])
+        direct = np.exp(-1j * np.outer(xi, t)) @ (0.5 * wts * w.evaluate(t))
+        err = np.abs(w.psi_hat(xi) - direct)
+        assert np.max(err) <= 1e-10 * np.max(np.abs(direct))
 
 
 class TestBandLimited:
@@ -238,3 +228,9 @@ class TestCoefficientsAtScale:
         with pytest.raises(ValidationError):
             ScaleGrid(2.5, (1, 2, 3))
         assert ScaleGrid(8.0, (1, 2, 3)).base == 8
+        with pytest.raises(ValidationError):
+            ScaleGrid(8, (1, 2.5, 3))
+        assert ScaleGrid(8, (1.0, 2.0, 3.0)).ratios == (1, 2, 3)
+        with pytest.raises(ValidationError):
+            default_params("fgn", 20000, a_base=8.7)
+        assert default_params("fgn", 20000, a_base=8.0).grid.base == 8
