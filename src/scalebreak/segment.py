@@ -1,17 +1,20 @@
 """Change-point search: contrast minimization over m change instants.
 
 The contrast of a candidate segmentation is the sum over segments of the
-residual of the log-log regression of the segment's log-variances
-(:meth:`scalebreak.scalogram.ScalogramTable.log_variances`) on log scale,
-optionally in its precision-weighted, length-scaled form.  Minimization
-runs over a candidate grid (segment costs only change where a boundary
-crosses some scale's shift grid, so a stride equal to the base scale is
-exhaustive for base-aligned grids) by a segment-neighbourhood dynamic
-program, the same code for every m.  It evaluates pair costs one block of
-rows at a time over the band of feasible pairs, so memory stays
-O(P * m) plus one block for P candidates, and returns the exact global
-minimizer on the grid, with ties broken toward the lexicographically
-smallest instant vector.
+residual of the log-log regression of the segment's log-variances on log
+scale, optionally in its precision-weighted, length-scaled form.  The
+residual is computed from the raw log-sums log sum e^2
+(:meth:`scalebreak.scalogram.ScalogramTable.log_variances`): they differ
+from the log-variances by c1 * log a + c0, which a regression with an
+intercept on log a leaves unchanged.  Minimization runs over a candidate
+grid (segment costs only change where a boundary crosses some scale's
+shift grid, so a stride equal to the base scale is exhaustive for
+base-aligned grids) by a segment-neighbourhood dynamic program, the same
+code for every m.  It evaluates pair costs one block of rows at a time
+over the reachable band of pairs only (see :func:`_search`), so memory
+stays O(P * m) plus one block for P candidates, and returns the exact
+global minimizer on the grid, with ties broken toward the
+lexicographically smallest instant vector.
 """
 
 from __future__ import annotations
@@ -84,6 +87,10 @@ def _pair_costs(table, k_lo, k_hi, min_len, objective="plain"):
     candidate segments.  Vectorized over any broadcastable pair of bound
     arrays; infeasible segments (shorter than min_len, fewer than 2 shifts
     at some scale, or with vanishing variance) get +inf.
+
+    The weighted sums q0, q1, q2 of the raw log-sums z accumulate in place
+    in scale order; a zero sum makes z = -inf and the cost non-finite, and
+    one final test masks it.
     """
     grid = table.grid
     x = grid.log_scales
@@ -100,14 +107,21 @@ def _pair_costs(table, k_lo, k_hi, min_len, objective="plain"):
     q0 = np.zeros(length.shape)
     q1 = np.zeros_like(q0)
     q2 = np.zeros_like(q0)
-    for i, (y, ok, *_) in enumerate(table.log_variances(k_lo, k_hi)):
-        q0 += weights[i] * (y * y)
-        q1 += (weights[i] * xc[i]) * y
-        q2 += weights[i] * y
-    cost = q0 - q2 * q2 / wsum - q1 * q1 / sxx
-    if objective == "stabilized":
-        cost = cost * length
-    return np.where(ok & (length >= min_len), np.maximum(cost, 0.0), np.inf)
+    wz = np.empty_like(q0)
+    with np.errstate(invalid="ignore"):
+        steps = table.log_variances(k_lo, k_hi)
+        for (z, ok, *_), w, wx in zip(steps, weights, weights * xc):
+            np.multiply(z, wx, out=wz)
+            q1 += wz
+            np.multiply(z, w, out=wz)
+            q2 += wz
+            wz *= z
+            q0 += wz
+        cost = q0 - q2 * q2 / wsum - q1 * q1 / sxx
+        if objective == "stabilized":
+            cost *= length
+        ok &= (length >= min_len) & np.isfinite(cost)
+    return np.where(ok, np.maximum(cost, 0.0), np.inf)
 
 
 def _candidates(n, stride):
@@ -138,36 +152,50 @@ def _search(table, cands, m, min_len, gap, objective):
     """Segment-neighbourhood DP over the candidate indices.
 
     ``suffix[j][i]`` is the least cost of splitting [cands[i], N) into j
-    segments.  Level 1 is the column of costs to N; levels 2..m walk the
-    rows bottom-up in blocks of at most ``gap`` rows, where ``gap`` bounds
-    the index distance of every feasible pair from below, so a block only
-    reads rows below it and one pass over the feasible band fills every
-    level.  Greedy-left reconstruction over the m rows on the optimal path
-    gives the lexicographically smallest minimizer.
+    segments.  ``gap`` bounds the index distance of every feasible pair
+    from below, and the search evaluates only the reachable band of pairs:
+
+    * a segment that ends at N starts at most at index P-1-gap, so
+      ``suffix`` is infinite from column P-gap on;
+    * the first segment spans at least ``gap`` indices, so levels 2..m
+      are read only from row ``gap`` on;
+    * a row from P-2*gap on has no column to reach and stays infinite.
+
+    Level 1 is the column of costs to N; levels 2..m walk the band's rows
+    bottom-up in blocks of at most ``gap`` rows, so a block only reads
+    rows below it and one pass fills every level.  Greedy-left
+    reconstruction over the m rows on the optimal path gives the
+    lexicographically smallest minimizer.
     """
     p = cands.size
 
     def costs(lo, hi):
         return _pair_costs(table, lo, hi, min_len, objective)
 
-    suffix = np.full((max(m, 1) + 1, p), np.inf)
-    suffix[1] = costs(cands, cands[-1])
+    if m == 0:
+        return float(costs(cands[0], cands[-1])), []
+    end = p - gap
+    suffix = np.full((m + 1, p), np.inf)
+    suffix[1, gap:end] = costs(cands[gap:end], cands[-1])
     rows = max(1, min(gap, _BLOCK_CELLS // p))
-    r1 = p - gap if m >= 2 else 0  # rows from p - gap on stay infinite
-    while r1 > 0:
-        r0 = max(r1 - rows, 0)
+    r1 = end - gap if m >= 2 else gap
+    while r1 > gap:
+        r0 = max(r1 - rows, gap)
         c0 = r0 + gap
-        block = costs(cands[r0:r1, None], cands[None, c0:])
+        block = costs(cands[r0:r1, None], cands[None, c0:end])
         for j in range(2, m + 1):
-            suffix[j, r0:r1] = np.min(block + suffix[j - 1, c0:], axis=1)
+            suffix[j, r0:r1] = np.min(block + suffix[j - 1, c0:end], axis=1)
         r1 = r0
-    g = suffix[1, 0]
     picks = [0]
     for j in range(m, 0, -1):
-        totals = costs(cands[picks[-1]], cands) + suffix[j]
-        picks.append(int(np.argmin(totals)))
+        c0 = picks[-1] + gap
+        totals = costs(cands[picks[-1]], cands[c0:end]) + suffix[j, c0:end]
+        if totals.size == 0:
+            return math.inf, []
+        i = int(np.argmin(totals))
         if j == m:
-            g = totals[picks[-1]]
+            g = totals[i]
+        picks.append(c0 + i)
     return float(g), picks[1:]
 
 

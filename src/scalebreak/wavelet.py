@@ -20,6 +20,7 @@ b = a p.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -39,6 +40,16 @@ __all__ = [
 # integration by parts cancels; 64 terms reach 8^64/64! < 1e-30.
 _TAYLOR_RADIUS = 8.0
 _TAYLOR_TERMS = 64
+
+
+@functools.cache
+def _legendre_rule(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per
+    process: the eigenproblem of order n takes seconds at n = 4096."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _beta3(n):
@@ -92,6 +103,12 @@ class CompactPolyWavelet:
         out[inside] = window * np.polynomial.polynomial.polyval(ts, self.q_coeffs)
         return out if out.ndim else float(out)
 
+    def kernel(self, a):
+        """Sampled kernel psi(j/a) for j = 0..a-1 at integer scale a, and
+        the index of j = 0 in it."""
+        a = int(a)
+        return 0, self.evaluate(np.arange(a) / a)
+
     def moment(self, r):
         """int_0^1 t^r psi(t) dt, exact from the Beta-function table."""
         j = np.arange(self.q_coeffs.size)
@@ -143,7 +160,7 @@ class BandLimitedWavelet:
         # Unit L2 norm: ||psi||^2 = (1/pi) int_lam^mu psi_hat^2, and
         # int_0^1 sin^8(pi u) du = 35/128.
         self.amplitude = math.sqrt(math.pi / ((mu - lam) * 35.0 / 128.0))
-        nodes, weights = np.polynomial.legendre.leggauss(self._N_FREQ_NODES)
+        nodes, weights = _legendre_rule(self._N_FREQ_NODES)
         self._xi_nodes = lam + 0.5 * (mu - lam) * (nodes + 1.0)
         self._xi_weights = 0.5 * (mu - lam) * weights
         self._bump_nodes = self._bump(self._xi_nodes)
@@ -187,7 +204,8 @@ class BandLimitedWavelet:
         return out[0] if scalar else out
 
     def kernel(self, a):
-        """Sampled kernel psi(j/a) for j = -J..J at integer scale a (cached)."""
+        """Sampled kernel psi(j/a) for j = -J..J at integer scale a, and
+        the index J of j = 0 in it (cached)."""
         a = int(a)
         if a not in self._kernel_cache:
             j_half = int(math.ceil(a * self.support_radius))
@@ -291,13 +309,12 @@ def coefficients_at_scale(path, wavelet, a):
         raise ValidationError("path shorter than one scale window")
     scale_factor = path.delta / math.sqrt(a)
     ai = int(a)
+    j_zero, kernel = wavelet.kernel(ai)
     if not wavelet.is_band_limited:
-        kernel = wavelet.evaluate(np.arange(ai) / a)
         blocks = path.values[: n_shifts * ai].reshape(n_shifts, ai)
         return scale_factor * (blocks @ kernel)
-    j_half, kernel = wavelet.kernel(ai)
     x = path.values.copy()
     x[0] = 0.0  # the coefficient sum starts at p = 1
     conv = fftconvolve(x, kernel[::-1])
     shifts = ai * np.arange(n_shifts)
-    return scale_factor * conv[shifts + j_half]
+    return scale_factor * conv[shifts + j_zero]

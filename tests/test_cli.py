@@ -66,6 +66,26 @@ class TestDetect:
         seg = payload["segments"][0]
         assert {"alpha_ols", "alpha_fgls", "gof_stat", "gof_p", "ci_alpha"} <= set(seg)
 
+    @pytest.mark.parametrize(
+        "values, code, message",
+        [
+            (np.ones(4001), 3, "rounding level"),
+            (1e200 * np.random.default_rng(5).normal(size=4001), 2, "overflow"),
+        ],
+    )
+    def test_degenerate_series_fail_with_their_cause(
+        self, tmp_path, capsys, values, code, message
+    ):
+        series = tmp_path / "series.csv"
+        np.savetxt(series, values)
+        out = tmp_path / "result.json"
+        assert run_cli(
+            "detect", "--family", "fgn", "--m", "1", "--ell", "5",
+            "--input", series, "--out", out,
+        ) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plot_csv_columns(self, tmp_path):
         series = tmp_path / "series.csv"
         run_cli(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,14 +80,22 @@ class TestSegVariance:
         )
 
     def test_zero_path_gives_zero(self):
-        # Zero variance masks every scale out and leaves log S at 0 there.
+        # A zero path has a raw sum of 0, z = log 0 = -inf, at every scale;
+        # the mask tracks shift counts only: True on [0, 512), False on
+        # [0, 16), which has 1 shift at scale 16.
         path = SampledPath(values=np.zeros(513))
         table = ScalogramTable(path, make_compact_poly(3), ScaleGrid(8, (1, 2, 4)))
-        steps = list(table.log_variances(0, 512))
-        assert [(int(p_lo), int(p_hi)) for *_, p_lo, p_hi in steps] == [
-            (0, 64), (0, 32), (0, 16)
+        steps = [
+            (np.exp(z).tolist(), ok.tolist(), p_lo.tolist(), p_hi.tolist())
+            for z, ok, p_lo, p_hi in table.log_variances(0, np.array([512, 16]))
         ]
-        assert all(y == 0.0 and not ok for y, ok, *_ in steps)
+        assert [(p_lo, p_hi) for *_, p_lo, p_hi in steps] == [
+            (0, [64, 2]), (0, [32, 1]), (0, [16, 0])
+        ]
+        assert [ok for _, ok, *_ in steps] == [
+            [True, True], [True, False], [True, False]
+        ]
+        assert all(raw == [0.0, 0.0] for raw, *_ in steps)
 
     def test_segment_too_short(self):
         rng = np.random.default_rng(1)
@@ -281,3 +290,41 @@ def test_path_scaling_shifts_y_and_preserves_cost():
     np.testing.assert_allclose(y2.y - y1.y, 2.0 * math.log(3.0), rtol=1e-10)
     L = design_matrix(grid)
     assert segment_cost(y2, L) == pytest.approx(segment_cost(y1, L), rel=1e-8)
+
+
+class TestDegenerateInput:
+    GRID = ScaleGrid(8, (1, 2, 3, 4, 5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_path_rejected(self, bad):
+        vals = np.random.default_rng(10).normal(size=4001)
+        vals[1234] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            SampledPath(values=vals)
+
+    @pytest.mark.parametrize("amplitude", [1e160, 1e200, 1e300])
+    def test_overflow_names_its_cause(self, amplitude):
+        vals = amplitude * np.random.default_rng(11).normal(size=4001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflow"):
+                ScalogramTable(
+                    SampledPath(values=vals), make_compact_poly(3), self.GRID
+                )
+
+    @pytest.mark.parametrize("q", [3, 5])
+    @pytest.mark.parametrize("level", [1.0, -3.7e6, 2.5e-9])
+    def test_constant_path_refused(self, q, level):
+        # A polynomial of degree 0 < q: the odd-q sampled filters sum to
+        # zero, so every coefficient is rounding noise, at any level.
+        path = SampledPath(values=np.full(4001, level))
+        with pytest.raises(NumericError, match="rounding level"):
+            ScalogramTable(path, make_compact_poly(q), self.GRID)
+
+    def test_rounding_floor_far_below_noise(self):
+        # A unit-variance path clears the floor by many orders of magnitude,
+        # also with a large offset that lifts max|x|.
+        vals = 1e6 + np.random.default_rng(12).normal(size=4001)
+        path = SampledPath(values=vals)
+        table = ScalogramTable(path, make_compact_poly(3), self.GRID)
+        assert np.isfinite(table.log_variance_vector(0, 4000).y).all()

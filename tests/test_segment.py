@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from scalebreak import (
     simulate_piecewise,
 )
 from scalebreak.scalogram import ScalogramTable
-from scalebreak.segment import cost_matrix
+from scalebreak import segment
+from scalebreak.segment import _pair_costs, cost_matrix
 
 
 def exhaustive_minimum(cands, cost, m):
@@ -217,6 +219,82 @@ class TestDetect:
         finally:
             tracemalloc.stop()
         assert peak < p * p * 8 / 10
+
+
+class TestReachableBand:
+    # 20 consecutive scales, as on the stationary detection grids; min_len
+    # 200 is not a multiple of the stride 30, and N leaves a short last gap.
+    GRID20 = ScaleGrid(1, tuple(range(2, 22)))
+    N, STRIDE, MIN_LEN = 1207, 30, 200
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("objective", ["plain", "stabilized"])
+    def test_search_equals_exhaustive_on_dense_grid(self, m, objective):
+        path = random_path(self.N, 50 + m)
+        cons = SegmentationConstraints(
+            m=m, min_len=self.MIN_LEN, candidate_stride=self.STRIDE
+        )
+        table = ScalogramTable(path, W3, self.GRID20)
+        cands, cost = cost_matrix(table, cons, objective)
+        g_ex, k_ex = exhaustive_minimum(cands, cost, m)
+        res = detect(path, W3, self.GRID20, cons, table=table, objective=objective)
+        assert np.isfinite(g_ex)
+        assert res.g_min == g_ex
+        assert res.k_hat == k_ex
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_no_cell_outside_the_reachable_band(self, m, monkeypatch):
+        path = random_path(self.N, 60 + m)
+        cons = SegmentationConstraints(
+            m=m, min_len=self.MIN_LEN, candidate_stride=self.STRIDE
+        )
+        table = ScalogramTable(path, W3, self.GRID20)
+        cands = segment._candidates(self.N, self.STRIDE)
+        p, gap = cands.size, -(-self.MIN_LEN // self.STRIDE)
+        seen = set()
+
+        def recording(table, k_lo, k_hi, *args, **kwargs):
+            lo, hi = np.broadcast_arrays(k_lo, k_hi)
+            rows = np.searchsorted(cands, lo.ravel())
+            cols = np.searchsorted(cands, hi.ravel())
+            seen.update(zip(rows.tolist(), cols.tolist()))
+            return _pair_costs(table, k_lo, k_hi, *args, **kwargs)
+
+        monkeypatch.setattr(segment, "_pair_costs", recording)
+        res = detect(path, W3, self.GRID20, cons, table=table, objective="stabilized")
+        assert np.isfinite(res.g_min)
+        for i, c in seen:
+            if c == p - 1:  # a last segment
+                assert gap <= i <= p - 1 - gap
+            else:
+                assert i < c <= p - 1 - gap
+                assert i == 0 or gap <= i < p - 2 * gap
+        # Every feasible pair of the band was evaluated.
+        if m >= 2:
+            band = {
+                (i, c)
+                for i in range(gap, p - 2 * gap)
+                for c in range(i + gap, p - gap)
+            }
+            assert band <= seen
+
+    def test_zero_variance_stretch_is_infinite_and_silent(self):
+        rng = np.random.default_rng(70)
+        vals = rng.normal(size=self.N + 1)
+        vals[400:800] = 0.0
+        path = SampledPath(values=vals)
+        table = ScalogramTable(path, W3, self.GRID20)
+        k_lo = np.array([[408.0], [0.0]])
+        k_hi = np.array([[600.0, 780.0, 1207.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for objective in ("plain", "stabilized"):
+                cost = _pair_costs(table, k_lo, k_hi, 100, objective)
+                assert np.isinf(cost[0, :2]).all()
+                assert np.isfinite(cost[0, 2]) and np.isfinite(cost[1]).all()
+            cons = SegmentationConstraints(m=2, min_len=150, candidate_stride=16)
+            res = detect(path, W3, self.GRID20, cons, table=table)
+        assert np.isfinite(res.g_min)
 
 
 class TestShrink:

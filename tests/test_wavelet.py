@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import coeff
+from scalebreak import wavelet as wavelet_module
 from scalebreak import (
     SampledPath,
     ScaleGrid,
@@ -105,6 +106,23 @@ class TestBandLimited:
         w = make_band_limited(2.0, 3.0)
         xi = np.linspace(-4, 4, 41)
         np.testing.assert_allclose(w.psi_hat(xi), w.psi_hat(-xi))
+
+    def test_quadrature_rule_computed_once_per_process(self):
+        # A new band reuses the Gauss-Legendre rule: the same read-only
+        # arrays, so every band's nodes are bit-identical maps of one rule.
+        make_band_limited(2.0, 3.0)
+        rule = wavelet_module._legendre_rule
+        before = rule.cache_info()
+        w = wavelet_module.BandLimitedWavelet(2.0, 3.3)
+        after = rule.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + 1
+        nodes, weights = rule(w._N_FREQ_NODES)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        expected = 2.0 + 0.5 * (3.3 - 2.0) * (nodes + 1.0)
+        np.testing.assert_array_equal(w._xi_nodes, expected)
+        small = rule(16)
+        ref = np.polynomial.legendre.leggauss(16)
+        assert all(np.array_equal(a, b) for a, b in zip(small, ref))
 
     def test_integral_of_psi_vanishes(self):
         w = make_band_limited(2.0, 3.0)
