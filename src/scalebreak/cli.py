@@ -39,26 +39,23 @@ def _spec_from_config(cfg):
     )
 
 
+# Config keys forwarded to default_params when set; "band" is its freq_band.
+_PARAM_KEYS = (
+    "m", "delta", "ell", "kappa", "q", "a_base", "v_n", "min_len", "stride",
+    "band", "wavelet_band", "trim", "min_det_scale", "profile",
+)
+
+
 def _params_from_config(cfg, spread=None):
-    return default_params(
-        cfg["family"],
-        cfg["n"],
-        m=cfg.get("m", 0),
-        delta=cfg.get("delta", 1.0),
-        ell=cfg.get("ell"),
-        kappa=cfg.get("kappa", 0.05),
-        q=cfg.get("q", 3),
-        a_base=cfg.get("a_base"),
-        v_n=cfg.get("v_n"),
-        min_len=cfg.get("min_len"),
-        stride=cfg.get("stride"),
-        exponent_spread=spread,
-        freq_band=tuple(cfg["band"]) if cfg.get("band") else None,
-        wavelet_band=tuple(cfg.get("wavelet_band", (2.0, 3.0))),
-        trim=cfg.get("trim", 0.1),
-        min_det_scale=cfg.get("min_det_scale"),
-        profile=cfg.get("profile", "tuned"),
-    )
+    """default_params for the run; it alone holds the defaults, so only the
+    keys the config sets are forwarded."""
+    kwargs = {}
+    for key in _PARAM_KEYS:
+        val = cfg.get(key)
+        if val is not None:
+            name = "freq_band" if key == "band" else key
+            kwargs[name] = tuple(val) if isinstance(val, list) else val
+    return default_params(cfg["family"], cfg["n"], exponent_spread=spread, **kwargs)
 
 
 def _exponent_spread(cfg):
@@ -68,11 +65,13 @@ def _exponent_spread(cfg):
     return None
 
 
-def read_series_csv(path_name):
+def read_series_csv(path_name, delta=None):
     """One value per line, or two columns (t, x) with uniform spacing.
 
-    The two-column form sets the sampling step from the time column; a
-    non-numeric cell is reported with its row and column.
+    The one-column form takes the sampling step ``delta`` (default 1); the
+    two-column form reads it from the time column, and a given ``delta``
+    that disagrees with it is refused.  A non-numeric cell is reported with
+    its row and column.
     """
     rows = []
     with open(path_name, newline="") as fh:
@@ -98,7 +97,8 @@ def read_series_csv(path_name):
         raise ValidationError("input CSV holds no data rows")
     widths = {len(r) for r in rows}
     if widths == {1}:
-        return SampledPath(values=np.array([r[0] for r in rows]), delta=1.0)
+        values = np.array([r[0] for r in rows])
+        return SampledPath(values=values, delta=1.0 if delta is None else float(delta))
     if widths == {2}:
         t = np.array([r[0] for r in rows])
         x = np.array([r[1] for r in rows])
@@ -107,6 +107,10 @@ def read_series_csv(path_name):
             raise ValidationError("time column must be increasing")
         if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
             raise ValidationError("time column is not uniformly spaced")
+        if delta is not None and abs(delta - steps[0]) > 1e-9 * abs(steps[0]):
+            raise ValidationError(
+                f"delta={delta} but the time column steps by {steps[0]:g}"
+            )
         return SampledPath(values=x, delta=float(steps[0]))
     raise ValidationError("rows must have one value or two columns (t, x)")
 
@@ -173,7 +177,7 @@ def _segment_dict(fit, ci_level):
 
 
 def cmd_detect(cfg):
-    path = read_series_csv(cfg["input"])
+    path = read_series_csv(cfg["input"], cfg.get("delta"))
     if cfg.get("n") and cfg["n"] != path.n:
         raise ValidationError(
             f"config n={cfg['n']} but the input series has N={path.n}"
@@ -319,7 +323,7 @@ def build_parser():
     return parser
 
 
-_DEFAULTS = {"seed": 0, "m": 0, "delta": 1.0, "reps": 10}
+_DEFAULTS = {"seed": 0, "m": 0, "reps": 10}
 _REQUIRED = {
     "simulate": ("family", "n", "exponents", "out"),
     "detect": ("family", "input", "out"),
@@ -331,7 +335,8 @@ def _merge_config(args):
     cfg = dict(_DEFAULTS)
     if args.config:
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            # A null in the config means "use the default".
+            cfg.update((k, v) for k, v in json.load(fh).items() if v is not None)
     for key, val in vars(args).items():
         if key in ("config", "command") or val is None:
             continue

@@ -71,10 +71,6 @@ class ChangePointResult:
     def m(self):
         return len(self.k_hat)
 
-    @property
-    def k_hat_time(self):
-        return tuple(k * self.delta for k in self.k_hat)
-
 
 def _pair_costs(table, k_lo, k_hi, min_len, objective="plain"):
     """Per-segment costs for the segments [k_lo[i], k_hi[i]).

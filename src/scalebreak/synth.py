@@ -9,11 +9,12 @@ jumps at prescribed fractions of the observation window:
 * band-limited "locally fractional" processes (``locfrac``), exponent
   ``H`` real, power-law spectrum on a frequency band ``[f_min, f_max]``.
 
-Stationary families are sampled exactly by circulant embedding with a
-Cholesky fallback; the band-limited family by spectral synthesis on a
-frequency grid fine enough that no aliasing occurs over the observation
-window.  All draws pass through an inverse-CDF transform so a given seed
-reproduces the same path bit for bit.
+Stationary families are sampled exactly by circulant embedding, which is
+nonnegative for every fgn and farima exponent (Craigmile 2003); an
+autocovariance whose embedding is not is refused.  The band-limited family
+is sampled by spectral synthesis on a frequency grid fine enough that no
+aliasing occurs over the observation window.  All draws pass through an
+inverse-CDF transform so a given seed reproduces the same path bit for bit.
 """
 
 from __future__ import annotations
@@ -180,23 +181,12 @@ def farima_autocov(d, sigma2, k):
     return out if out.ndim else float(out)
 
 
-def _cholesky_sample(cov_row, rng):
-    n = cov_row.size
-    idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    try:
-        chol = np.linalg.cholesky(cov_row[idx])
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("covariance is not positive definite") from exc
-    return chol @ gaussian_draws(rng, n)
-
-
 def simulate_stationary(autocov, n, seed=None, *, rng=None):
     """Draw an exact zero-mean stationary Gaussian vector of length ``n``.
 
     ``autocov`` maps an array of lags to covariances.  The sample is built
-    by circulant embedding of the covariance (Davies-Harte); when the
-    embedding has negative eigenvalues beyond roundoff the dense Cholesky
-    route is used instead.
+    by circulant embedding of the covariance (Davies-Harte).  An embedding
+    with an eigenvalue below -1e-8 of the largest raises ``NumericError``.
 
     Parameters
     ----------
@@ -220,7 +210,10 @@ def simulate_stationary(autocov, n, seed=None, *, rng=None):
     eigs = np.fft.fft(first_row).real
     tol = 1e-8 * max(eigs.max(), 1.0)
     if eigs.min() < -tol:
-        return _cholesky_sample(r[:n], rng)
+        raise NumericError(
+            f"circulant embedding of the autocovariance has the negative "
+            f"eigenvalue {eigs.min():.3g} at n={n}"
+        )
     eigs = np.clip(eigs, 0.0, None)
     m = 2 * n
     z = gaussian_draws(rng, m)

@@ -1,12 +1,15 @@
 """Analyzing wavelets and the discretized wavelet coefficient.
 
-Two constructions cover the families handled by the package:
+Two closed-form constructions cover the families handled by the package:
 
 * ``make_compact_poly(q)`` -- a polynomial bump on [0,1] with exactly ``q``
-  vanishing moments, psi(t) = t^2 (1-t)^2 Q(t), suited to unit-step series;
+  vanishing moments, psi(t) = t^2 (1-t)^2 Q(t), suited to unit-step series.
+  Q is the degree-q orthogonal polynomial for the weight t^2 (1-t)^2, the
+  shifted Jacobi polynomial 2F1(-q, q+5; 3; t);
 * ``make_band_limited(lam, mu)`` -- a wavelet whose Fourier transform is an
-  even cosine-taper bump supported on [-mu,-lam] u [lam,mu], required for
-  band-limited processes (all polynomial moments vanish).
+  even squared-Hann bump supported on [-mu,-lam] u [lam,mu], required for
+  band-limited processes (all polynomial moments vanish).  Its inverse
+  transform is a sum of five sinc functions.
 
 The coefficient of a sampled path at scale ``a`` and shift ``b`` is the
 Riemann sum
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -42,16 +46,6 @@ _TAYLOR_RADIUS = 8.0
 _TAYLOR_TERMS = 64
 
 
-@functools.cache
-def _legendre_rule(n):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per
-    process: the eigenproblem of order n takes seconds at n = 4096."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
 def _beta3(n):
     # int_0^1 t^n (1-t)^2 dt
     return 2.0 / ((n + 1.0) * (n + 2.0) * (n + 3.0))
@@ -63,10 +57,14 @@ def _beta5(n):
 
 
 class CompactPolyWavelet:
-    """psi(t) = t^2 (1-t)^2 Q(t) on [0,1] with q vanishing moments, unit L2 norm."""
+    """psi(t) = t^2 (1-t)^2 Q(t) on [0,1] with q vanishing moments, unit L2 norm.
+
+    Q is proportional to the shifted Jacobi polynomial
+    2F1(-q, q+5; 3; t) = sum_k c_k t^k, with c_0 = 1 and
+    c_{k+1} = c_k (k-q)(k+q+5) / ((k+3)(k+1)).
+    """
 
     is_band_limited = False
-    a_min = 1.0
 
     def __init__(self, q_coeffs, q):
         self.q = int(q)
@@ -75,7 +73,6 @@ class CompactPolyWavelet:
         # t^2 (1-t)^2 = t^2 - 2 t^3 + t^4.
         window = np.array([0.0, 0.0, 1.0, -2.0, 1.0])
         self.poly_coeffs = np.polynomial.polynomial.polymul(window, self.q_coeffs)
-        self.support = (0.0, 1.0)
         # Rows P^(k)(0) and P^(k)(1), k = 0..deg, for the integration-by-parts
         # form of psi_hat and its tail bound.
         poly = np.polynomial.Polynomial(self.poly_coeffs)
@@ -88,9 +85,6 @@ class CompactPolyWavelet:
             self.moment(k) / math.factorial(k) if k >= self.q else 0.0
             for k in range(_TAYLOR_TERMS)
         ])
-
-    def __call__(self, t):
-        return self.evaluate(t)
 
     def evaluate(self, t):
         """psi(t), zero outside [0,1]; the factored form keeps the double
@@ -140,16 +134,22 @@ class CompactPolyWavelet:
 class BandLimitedWavelet:
     """Real even wavelet with psi_hat supported on [-mu,-lam] u [lam,mu].
 
-    psi_hat is the squared-Hann taper A sin^4(pi (|xi|-lam)/(mu-lam)); the
-    time-domain wavelet is obtained by numeric inverse transform and is
-    truncated, where needed, to the radius where |psi| exceeds 1e-8 of its
-    peak.  All polynomial moments vanish because psi_hat is flat zero near 0.
+    psi_hat is the squared-Hann taper A sin^4(pi (|xi|-lam)/w), w = mu - lam.
+    Measured from the band centre m = (lam + mu)/2, with s = |xi| - m, the
+    taper is A cos^4(pi s/w) = A [3/8 + cos(2 pi s/w)/2 + cos(4 pi s/w)/8],
+    and each term integrates against cos(xi t) over the band to a shifted
+    sinc.  With u = t w / (2 pi)
+
+        psi(t) = (A w / pi) cos(m t) [3/8 sinc(u) + (sinc(u-1) + sinc(u+1))/4
+                                      + (sinc(u-2) + sinc(u+2))/16],
+
+    sinc being the normalised sinc.  psi is truncated, where needed, to the
+    radius where |psi| exceeds 1e-8 of its peak.  All polynomial moments
+    vanish because psi_hat is flat zero near 0.
     """
 
     is_band_limited = True
-    a_min = 1.0
 
-    _N_FREQ_NODES = 4096
     _T_CAP = 800.0
 
     def __init__(self, lam, mu):
@@ -160,10 +160,6 @@ class BandLimitedWavelet:
         # Unit L2 norm: ||psi||^2 = (1/pi) int_lam^mu psi_hat^2, and
         # int_0^1 sin^8(pi u) du = 35/128.
         self.amplitude = math.sqrt(math.pi / ((mu - lam) * 35.0 / 128.0))
-        nodes, weights = _legendre_rule(self._N_FREQ_NODES)
-        self._xi_nodes = lam + 0.5 * (mu - lam) * (nodes + 1.0)
-        self._xi_weights = 0.5 * (mu - lam) * weights
-        self._bump_nodes = self._bump(self._xi_nodes)
         self._kernel_cache = {}
         # Effective support radius from a scan of |psi|.
         t = np.arange(0.0, self._T_CAP, 0.25)
@@ -171,7 +167,6 @@ class BandLimitedWavelet:
         thresh = 1e-8 * vals.max()
         above = np.nonzero(vals > thresh)[0]
         self.support_radius = float(t[above[-1]]) + 0.25
-        self.support = (-self.support_radius, self.support_radius)
 
     def _bump(self, x):
         out = np.zeros_like(x)
@@ -180,21 +175,20 @@ class BandLimitedWavelet:
         out[inside] = self.amplitude * np.sin(math.pi * u) ** 4
         return out
 
-    def __call__(self, t):
-        return self.evaluate(t)
-
     def evaluate(self, t):
-        """psi(t) = (1/pi) int_lam^mu psi_hat(xi) cos(xi t) dxi."""
+        """psi(t) = (1/pi) int_lam^mu psi_hat(xi) cos(xi t) dxi, from the
+        sinc sum of the class docstring."""
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.empty(t.shape)
-        block = 65536 // self._N_FREQ_NODES * 64 or 64
-        w = self._xi_weights * self._bump_nodes / math.pi
-        for start in range(0, t.size, block):
-            ts = t[start : start + block]
-            out[start : start + block] = np.cos(np.outer(ts, self._xi_nodes)) @ w
-        return out[0] if scalar else out
+        w = self.mu - self.lam
+        u = t * (w / (2.0 * math.pi))
+        taper = (
+            0.375 * np.sinc(u)
+            + 0.25 * (np.sinc(u - 1.0) + np.sinc(u + 1.0))
+            + 0.0625 * (np.sinc(u - 2.0) + np.sinc(u + 2.0))
+        )
+        carrier = np.cos(0.5 * (self.lam + self.mu) * t)
+        out = self.amplitude * w / math.pi * carrier * taper
+        return out if out.ndim else float(out)
 
     def psi_hat(self, xi):
         """The defining bump, evaluated exactly (real and even)."""
@@ -214,17 +208,15 @@ class BandLimitedWavelet:
         return self._kernel_cache[a]
 
 
-_compact_cache = {}
-_band_cache = {}
-
-
 def make_compact_poly(q):
     """Construct the compact polynomial wavelet with exactly ``q`` vanishing
     moments.
 
-    The coefficients of Q solve the q * (q+1) homogeneous moment system
-    int_0^1 t^r psi(t) dt = 0, r = 0..q-1; the one-dimensional nullspace is
-    normalized to unit L2 norm with the q-th moment positive.
+    int_0^1 t^r psi(t) dt = 0 for r < q makes Q orthogonal to every
+    polynomial of degree < q under the weight t^2 (1-t)^2, so Q is the
+    shifted Jacobi polynomial 2F1(-q, q+5; 3; t).  Its coefficients are
+    exact rationals; Q is taken monic, then normalized to unit L2 norm with
+    the q-th moment positive.
     """
     q = int(q)
     if q < 2:
@@ -233,43 +225,17 @@ def make_compact_poly(q):
         # Beyond q = 6 the polynomial coefficients grow enough that double
         # precision cannot hold the residual moments below 1e-12.
         raise ValidationError("polynomial construction supports q <= 6")
-    if q in _compact_cache:
-        return _compact_cache[q]
-    # The moment system is Hilbert-like and exactly rational, so the
-    # nullspace is found by exact elimination over the rationals; float
-    # conversion then leaves residual moments at rounding level for any q.
-    from fractions import Fraction
+    return _compact_poly(q)
 
-    def beta3_frac(n):
-        return Fraction(2, (n + 1) * (n + 2) * (n + 3))
 
-    system = [
-        [beta3_frac(r + j + 2) for j in range(q + 1)] for r in range(q)
-    ]
-    pivot_cols = []
-    row = 0
-    for col in range(q + 1):
-        pivot = next(
-            (r for r in range(row, q) if system[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        system[row], system[pivot] = system[pivot], system[row]
-        lead = system[row][col]
-        system[row] = [x / lead for x in system[row]]
-        for r in range(q):
-            if r != row and system[r][col] != 0:
-                factor = system[r][col]
-                system[r] = [a - factor * b for a, b in zip(system[r], system[row])]
-        pivot_cols.append(col)
-        row += 1
-    assert row == q, "moment system unexpectedly singular"
-    free = next(j for j in range(q + 1) if j not in pivot_cols)
-    null = [Fraction(0)] * (q + 1)
-    null[free] = Fraction(1)
-    for r, col in enumerate(pivot_cols):
-        null[col] = -system[r][free]
-    c = np.array([float(x) for x in null])
+@functools.cache
+def _compact_poly(q):
+    # Exact Jacobi coefficients (class docstring), made monic.
+    coeffs = [Fraction(1)]
+    for k in range(q):
+        ratio = Fraction((k - q) * (k + q + 5), (k + 3) * (k + 1))
+        coeffs.append(coeffs[-1] * ratio)
+    c = np.array([float(x / coeffs[-1]) for x in coeffs])
     w = CompactPolyWavelet(c, q)
     if w.moment(q) < 0.0:
         c = -c
@@ -279,16 +245,15 @@ def make_compact_poly(q):
     w = CompactPolyWavelet(c, q)
     for r in range(q):
         assert abs(w.moment(r)) <= 1e-12, f"moment {r} fails to vanish"
-    _compact_cache[q] = w
     return w
+
+
+_band_limited = functools.cache(BandLimitedWavelet)
 
 
 def make_band_limited(lam, mu):
     """Construct the band-limited wavelet for the band ``[lam, mu]``."""
-    key = (float(lam), float(mu))
-    if key not in _band_cache:
-        _band_cache[key] = BandLimitedWavelet(lam, mu)
-    return _band_cache[key]
+    return _band_limited(float(lam), float(mu))
 
 
 def coefficients_at_scale(path, wavelet, a):
@@ -299,8 +264,8 @@ def coefficients_at_scale(path, wavelet, a):
     depend on evaluation strategy.
     """
     a = float(a)
-    if a < wavelet.a_min:
-        raise ValidationError(f"scale {a} below the minimum {wavelet.a_min}")
+    if a < 1.0:
+        raise ValidationError(f"scale {a} below the minimum 1")
     if not a.is_integer():
         raise ValidationError(f"scale {a} is not an integer")
     n = path.n

@@ -34,8 +34,8 @@ def coeff(path, wavelet, a, b):
     and the caller is expected to trim shifts near the path edges.
     """
     a = float(a)
-    if a < wavelet.a_min:
-        raise ValidationError(f"scale {a} below the minimum {wavelet.a_min}")
+    if a < 1.0:
+        raise ValidationError(f"scale {a} below the minimum 1")
     n = path.n
     vals = path.values
     if not wavelet.is_band_limited:

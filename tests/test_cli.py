@@ -155,6 +155,60 @@ class TestDetect:
         assert path.delta == pytest.approx(0.25)
         assert path.n == 100
 
+    def test_locfrac_one_column_takes_delta(self, tmp_path):
+        # The README's band-limited example: at delta = 1 the band holds
+        # only 4 integer scales and ell = 5 would be refused.
+        series = tmp_path / "series.csv"
+        band = ["--band", "0.3", "1.2", "--delta", "0.25"]
+        assert run_cli(
+            "simulate", "--family", "locfrac", "--n", "16000", "--m", "1",
+            "--tau", "0.5", "--exponents", "0.3", "1.0", *band, "--seed", "11",
+            "--out", series,
+        ) == 0
+        out = tmp_path / "result.json"
+        assert run_cli(
+            "detect", "--family", "locfrac", "--m", "1", "--ell", "5", *band,
+            "--wavelet-band", "2", "3", "--input", series, "--out", out,
+        ) == 0
+        assert json.loads(out.read_text())["delta"] == 0.25
+
+    def test_two_column_step_must_match_delta(self, tmp_path, capsys):
+        f = tmp_path / "tx.csv"
+        t = 0.25 * np.arange(101)
+        f.write_text("\n".join(f"{a},{b}" for a, b in zip(t, np.sin(t))))
+        assert read_series_csv(str(f), 0.25).delta == pytest.approx(0.25)
+        with pytest.raises(ValidationError, match="delta=0.5"):
+            read_series_csv(str(f), 0.5)
+        code = run_cli(
+            "detect", "--family", "fgn", "--delta", "1", "--input", f,
+            "--out", tmp_path / "res.json",
+        )
+        assert code == 2
+        assert "time column steps by 0.25" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "nulls", [{"kappa": None}, {"q": None, "trim": None}]
+    )
+    def test_config_null_means_default(self, tmp_path, nulls):
+        series = tmp_path / "series.csv"
+        run_cli(
+            "simulate", "--family", "fgn", "--n", "4096", "--exponents", "0.5",
+            "--seed", "4", "--out", series,
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "fgn", "ell": 6, **nulls}))
+        out = tmp_path / "res.json"
+        assert run_cli(
+            "detect", "--config", cfg, "--input", series, "--out", out
+        ) == 0
+        default = tmp_path / "default.json"
+        run_cli(
+            "detect", "--family", "fgn", "--ell", "6", "--input", series,
+            "--out", default,
+        )
+        result = json.loads(out.read_text())
+        assert result["segments"] == json.loads(default.read_text())["segments"]
+
     def test_nonuniform_spacing_rejected(self, tmp_path):
         f = tmp_path / "tx.csv"
         f.write_text("0.0,1.0\n1.0,2.0\n2.5,3.0\n")

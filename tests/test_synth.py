@@ -98,8 +98,8 @@ class TestSimulateStationary:
         np.testing.assert_array_equal(a, b)
 
     def test_invalid_covariance_raises(self):
-        # A sequence that is not a covariance: fails both routes.
-        with pytest.raises(NumericError):
+        # A sequence that is not a covariance has no nonnegative embedding.
+        with pytest.raises(NumericError, match="negative eigenvalue .* at n=64"):
             simulate_stationary(lambda k: -np.ones(np.shape(k)), 64, seed=0)
 
     @settings(max_examples=10, deadline=None)

@@ -1,12 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from oracles import coeff
-from scalebreak import wavelet as wavelet_module
 from scalebreak import (
     SampledPath,
     ScaleGrid,
@@ -60,6 +61,26 @@ class TestCompactPoly:
         assert w.evaluate(1.0) == pytest.approx(0.0, abs=1e-14)
         assert w.evaluate(-0.5) == 0.0 and w.evaluate(1.5) == 0.0
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+    def test_jacobi_coefficients_solve_moment_system_exactly(self, q):
+        # The 2F1(-q, q+5; 3; t) recurrence the construction uses, checked
+        # against int_0^1 t^(r+j+2) (1-t)^2 dt = B(r+j+3, 3) in rationals.
+        c = [Fraction(1)]
+        for k in range(q):
+            c.append(c[-1] * Fraction((k - q) * (k + q + 5), (k + 3) * (k + 1)))
+
+        def beta(x, y):
+            return Fraction(
+                math.factorial(x - 1) * math.factorial(y - 1),
+                math.factorial(x + y - 1),
+            )
+
+        for r in range(q):
+            assert sum(beta(r + j + 3, 3) * cj for j, cj in enumerate(c)) == 0
+        monic = np.array([float(cj / c[-1]) for cj in c])
+        q_coeffs = make_compact_poly(q).q_coeffs
+        np.testing.assert_allclose(monic * q_coeffs[-1], q_coeffs, rtol=1e-14)
+
     def test_q_below_two_rejected(self):
         with pytest.raises(ValidationError):
             make_compact_poly(1)
@@ -107,22 +128,27 @@ class TestBandLimited:
         xi = np.linspace(-4, 4, 41)
         np.testing.assert_allclose(w.psi_hat(xi), w.psi_hat(-xi))
 
-    def test_quadrature_rule_computed_once_per_process(self):
-        # A new band reuses the Gauss-Legendre rule: the same read-only
-        # arrays, so every band's nodes are bit-identical maps of one rule.
-        make_band_limited(2.0, 3.0)
-        rule = wavelet_module._legendre_rule
-        before = rule.cache_info()
-        w = wavelet_module.BandLimitedWavelet(2.0, 3.3)
-        after = rule.cache_info()
-        assert after.misses == before.misses and after.hits == before.hits + 1
-        nodes, weights = rule(w._N_FREQ_NODES)
-        assert not nodes.flags.writeable and not weights.flags.writeable
-        expected = 2.0 + 0.5 * (3.3 - 2.0) * (nodes + 1.0)
-        np.testing.assert_array_equal(w._xi_nodes, expected)
-        small = rule(16)
-        ref = np.polynomial.legendre.leggauss(16)
-        assert all(np.array_equal(a, b) for a, b in zip(small, ref))
+    @pytest.mark.parametrize("lam, mu", [(2.0, 3.0), (0.5, 0.9)])
+    def test_closed_form_matches_cosine_quadrature(self, lam, mu):
+        # QUADPACK's cosine-weighted rule integrates the bump directly:
+        # psi(t) = (1/pi) int_lam^mu psi_hat(xi) cos(xi t) dxi.  The points
+        # include t = 0, the removable points of the sinc sum and the edge
+        # of the effective support.
+        w = make_band_limited(lam, mu)
+        width = mu - lam
+        radius = w.support_radius
+        special = [0.0, radius - 0.25, radius, -radius]
+        special += [s * 2.0 * math.pi * k / width for k in (1, 2) for s in (1, -1)]
+        t = np.concatenate([special, np.linspace(-radius, radius, 41)])
+
+        def bump(xi):
+            return w.amplitude * math.sin(math.pi * (xi - lam) / width) ** 4
+
+        ref = np.array([
+            quad(bump, lam, mu, weight="cos", wvar=ti, epsabs=1e-14, epsrel=1e-13)[0]
+            for ti in t
+        ]) / math.pi
+        assert np.max(np.abs(w.evaluate(t) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_integral_of_psi_vanishes(self):
         w = make_band_limited(2.0, 3.0)
@@ -134,8 +160,9 @@ class TestBandLimited:
             make_band_limited(3.0, 2.0)
 
     def test_effective_support_is_finite(self):
-        w = make_band_limited(2.0, 3.0)
-        assert 0 < w.support_radius < 800
+        # Where |psi| last exceeds 1e-8 of its peak on the 0.25 scan grid;
+        # the kernel lengths of every scale follow from it.
+        assert make_band_limited(2.0, 3.0).support_radius == 255.25
 
 
 class TestCoeff:
