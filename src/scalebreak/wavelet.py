@@ -18,7 +18,11 @@ Riemann sum
 
 with ``a`` and ``b`` expressed in sample-index units.  The package
 evaluates it at integer scales ``a`` and on each scale's own shift grid
-b = a p.
+b = a p: a compact kernel spans one block of ``a`` samples, so the
+coefficients are one matrix-vector product; a band-limited kernel spans
+many blocks, so the path is convolved with it through numpy's real FFT at
+the smallest 5-smooth length (2^i 3^j 5^k) that holds the full linear
+convolution.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ValidationError
 
@@ -256,12 +259,31 @@ def make_band_limited(lam, mu):
     return _band_limited(float(lam), float(mu))
 
 
+def _fft_length(n):
+    """Smallest 2^i 3^j 5^k >= n, the length scipy.fft.next_fast_len(n,
+    real=True) picks; a power of two can be nearly twice as long."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            # f35 times the smallest power of two reaching n
+            best = min(best, f35 << (-(-n // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def coefficients_at_scale(path, wavelet, a):
     """All coefficients e(a, a*p), p = 0..floor(N/a)-1, at the integer scale
     ``a``, in one pass.
 
-    The sum order over samples is fixed (ascending p) so results do not
-    depend on evaluation strategy.
+    Compact wavelets: one block of ``a`` samples per shift, summed in a
+    fixed order so results do not depend on evaluation strategy.
+    Band-limited wavelets: the full linear convolution of the path with the
+    reversed kernel, by ``numpy.fft.rfft``/``irfft`` at the length
+    ``_fft_length(N + len(kernel))`` (the path holds N + 1 samples), read
+    at the shifts a*p.
     """
     a = float(a)
     if a < 1.0:
@@ -280,6 +302,9 @@ def coefficients_at_scale(path, wavelet, a):
         return scale_factor * (blocks @ kernel)
     x = path.values.copy()
     x[0] = 0.0  # the coefficient sum starts at p = 1
-    conv = fftconvolve(x, kernel[::-1])
+    size = _fft_length(x.size + kernel.size - 1)
+    conv = np.fft.irfft(
+        np.fft.rfft(x, size) * np.fft.rfft(kernel[::-1], size), size
+    )
     shifts = ai * np.arange(n_shifts)
     return scale_factor * conv[shifts + j_zero]

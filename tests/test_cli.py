@@ -229,6 +229,18 @@ class TestDetect:
         assert code == 2
         assert "N=4096" in capsys.readouterr().err
 
+    def test_config_band_of_one_number_exits_2(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("\n".join(["0.0"] * 4001))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "locfrac", "band": [0.3]}))
+        code = run_cli(
+            "detect", "--config", cfg, "--delta", "0.25", "--input", series,
+            "--out", tmp_path / "res.json",
+        )
+        assert code == 2
+        assert "freq_band must be two numbers" in capsys.readouterr().err
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "res.json"
         code = run_cli(

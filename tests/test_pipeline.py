@@ -71,6 +71,16 @@ class TestDefaultParams:
                 wavelet_band=(2.0, 3.0),
             )
 
+    @pytest.mark.parametrize(
+        "band", [(0.3,), 0.3, (0.3, 1.2, 2.0), (0.3, "x"), (0.3, float("nan")),
+                 (0.3, float("inf")), (0.0, 1.2), (1.2, 0.3)],
+    )
+    @pytest.mark.parametrize("key", ["freq_band", "wavelet_band"])
+    def test_malformed_band_rejected(self, key, band):
+        kwargs = {"freq_band": (0.3, 1.2), key: band}
+        with pytest.raises(ValidationError, match=key):
+            default_params("locfrac", 16000, m=1, delta=0.25, **kwargs)
+
     def test_trend_safe_detection_scales(self):
         p = default_params("fgn", 20000, ell=30, min_det_scale=20)
         assert p.det_grid.ratios[0] == 20

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 
 from oracles import coeff
 from scalebreak import (
@@ -17,6 +19,7 @@ from scalebreak import (
     make_band_limited,
     make_compact_poly,
 )
+from scalebreak.wavelet import _fft_length
 
 
 def gl_moment(wavelet, r, order=200):
@@ -248,15 +251,41 @@ class TestCoefficientsAtScale:
             )
 
     def test_matches_single_coefficient_band_limited(self):
+        # Every shift at three scales.  The oracle keeps taps
+        # |j| <= a * support_radius, the kernel up to the ceiling of it:
+        # the taps in between bound the gap (1.1e-8 at a = 1), plus 1e-13
+        # for FFT rounding (measured 1.8e-15 at a = 4 and 10, where
+        # a * support_radius is an integer).
         rng = np.random.default_rng(8)
         path = SampledPath(values=rng.normal(size=2001))
         w = make_band_limited(2.0, 3.0)
-        a = 10
-        all_coeffs = coefficients_at_scale(path, w, float(a))
-        for p in (40, 100, 160):
-            assert all_coeffs[p] == pytest.approx(
-                coeff(path, w, float(a), float(a * p)), rel=1e-6, abs=1e-10
-            )
+        for a in (1, 4, 10):
+            all_coeffs = coefficients_at_scale(path, w, float(a))
+            oracle = [
+                coeff(path, w, float(a), float(a * p)) for p in range(all_coeffs.size)
+            ]
+            j_zero, kernel = w.kernel(a)
+            beyond = np.abs(np.arange(kernel.size) - j_zero) > a * w.support_radius
+            tol = np.abs(kernel[beyond]).sum() * np.abs(path.values).max() / math.sqrt(a)
+            assert np.max(np.abs(all_coeffs - oracle)) <= tol + 1e-13
+
+    @pytest.mark.parametrize("n, a", [(600, 4), (999, 3), (2000, 1), (16000, 20)])
+    def test_band_limited_equals_fftconvolve(self, n, a):
+        # Bit-identical to scipy's fftconvolve, including a kernel longer
+        # than the path (2 043 taps on 601 samples at n = 600, a = 4).
+        rng = np.random.default_rng(n)
+        path = SampledPath(values=rng.normal(size=n + 1))
+        w = make_band_limited(2.0, 3.0)
+        j_zero, kernel = w.kernel(a)
+        x = path.values.copy()
+        x[0] = 0.0
+        conv = fftconvolve(x, kernel[::-1])
+        expected = (1.0 / math.sqrt(a)) * conv[a * np.arange(n // a) + j_zero]
+        np.testing.assert_array_equal(coefficients_at_scale(path, w, a), expected)
+
+    def test_fft_length_is_next_fast_len(self):
+        lengths = [_fft_length(n) for n in range(1, 50_001)]
+        assert lengths == [next_fast_len(n, real=True) for n in range(1, 50_001)]
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=2, max_value=12))
