@@ -13,7 +13,6 @@ from .errors import NumericError, ValidationError
 from .estimate import (
     GofResult,
     ThetaEstimate,
-    alpha_from_exponent,
     chi2_quantile,
     chi2_sf,
     confidence_interval,
@@ -23,7 +22,6 @@ from .estimate import (
     gamma_locfrac,
     gamma_lrd,
     gof,
-    hurst_from_alpha,
     make_gamma,
     ols_theta,
 )
@@ -37,7 +35,6 @@ from .pipeline import (
     summarize,
 )
 from .scalogram import (
-    LogVarianceVector,
     ScaleGrid,
     ScalogramTable,
     design_matrix,

@@ -25,7 +25,11 @@ SCHEMA = "scalebreak/1"
 
 
 def config_hash(config):
-    payload = json.dumps(config, sort_keys=True, default=str).encode()
+    """Hash of the run's options; the input and output file names are left
+    out, so one configuration keeps one hash whichever files it reads and
+    writes."""
+    options = {k: v for k, v in config.items() if k not in ("input", "out")}
+    payload = json.dumps(options, sort_keys=True, default=str).encode()
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
@@ -214,10 +218,10 @@ def cmd_detect(cfg):
         writer.writerow(
             ["segment", "scale_index", "log_scale", "log_variance", "fitted"]
         )
+        log_scales = params.grid.log_scales
         for j, fit in enumerate(report.segments):
-            lv = fit.logvar
-            fitted = fit.ols.alpha * lv.log_scales + fit.ols.log_beta
-            for i, (ls, y, fv) in enumerate(zip(lv.log_scales, lv.y, fitted), 1):
+            fitted = fit.ols.alpha * log_scales + fit.ols.log_beta
+            for i, (ls, y, fv) in enumerate(zip(log_scales, fit.logvar, fitted), 1):
                 writer.writerow(
                     [j, i] + [format(float(v), ".17g") for v in (ls, y, fv)]
                 )
@@ -236,7 +240,6 @@ def cmd_montecarlo(cfg):
         params,
         reps=cfg["reps"],
         seed=cfg["seed"],
-        delta=cfg.get("delta", 1.0),
         with_fgls=cfg.get("fgls", False),
         workers=cfg.get("workers", 1),
     )

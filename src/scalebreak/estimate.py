@@ -7,7 +7,9 @@ of the asymptotic covariance of the normalized log-variances,
     eps_i = sqrt((k'-k)/a) * (log S_i - log E S_i)  ->  N(0, Gamma),
 
 and the Gamma-weighted residual of the FGLS fit is asymptotically
-chi-square with ell-2 degrees of freedom.
+chi-square with ell-2 degrees of freedom.  The fits take y = log S as a
+plain array and the segment's effective size n_eff = (k'-k)/a from their
+caller.
 
 The Gamma matrices implemented here follow from the covariance structure
 of nonoverlapping-shift wavelet variances with integer scale ratios
@@ -25,7 +27,8 @@ of nonoverlapping-shift wavelet variances with integer scale ratios
   Compact wavelets sample F on the lattice 2 pi n / M (M = 1024) from one
   closed-form psi_hat table, cut where an integration-by-parts bound
   leaves at most 1e-10 of J.  Band-limited wavelets need mu <= pi: g then
-  lies in (0, pi], nothing folds, and the sum is pi int |g|^2 / J^2;
+  lies in (0, pi], nothing folds, and the sum is pi int |g|^2 / J^2.
+  w is the trim fraction of the scale grid (0 for compact wavelets);
 
 * time-domain form (piecewise self-similar paths, alpha = 2H+1):
 
@@ -59,8 +62,6 @@ __all__ = [
     "gamma_locfrac",
     "make_gamma",
     "exponent_from_alpha",
-    "alpha_from_exponent",
-    "hurst_from_alpha",
     "chi2_sf",
     "chi2_quantile",
 ]
@@ -84,7 +85,6 @@ class ThetaEstimate:
 
     alpha: float
     log_beta: float
-    method: str
     cov: np.ndarray | None
     n_eff: float | None
     fallback_to_ols: bool = False
@@ -119,57 +119,30 @@ def exponent_from_alpha(alpha, family):
     return 0.5 * (float(alpha) - 1.0)
 
 
-def alpha_from_exponent(exponent, family):
-    family = Family(family)
-    if family in (Family.FGN, Family.FARIMA):
-        return float(exponent)
-    return 2.0 * float(exponent) + 1.0
-
-
-def hurst_from_alpha(alpha, family):
-    """Hurst reading of the slope: (1+D)/2 for stationary long-memory
-    series, (alpha-1)/2 otherwise."""
-    family = Family(family)
-    if family in (Family.FGN, Family.FARIMA):
-        return 0.5 * (1.0 + float(alpha))
-    return 0.5 * (float(alpha) - 1.0)
-
-
-def _as_y(y):
-    return np.asarray(getattr(y, "y", y), dtype=float)
-
-
-def _n_eff(y, n_eff):
-    if n_eff is not None:
-        return float(n_eff)
-    return getattr(y, "n_eff", None)
-
-
 def ols_theta(y, design, gamma=None, n_eff=None):
     """Closed-form least squares for (alpha, log beta).
 
     When the covariance matrix ``gamma`` is supplied, the estimate carries
     cov = (L'L)^-1 L' Gamma L (L'L)^-1 / n_eff.
     """
-    yv = _as_y(y)
+    y = np.asarray(y, dtype=float)
     x = design[:, 0]
-    if yv.shape != x.shape:
+    if y.shape != x.shape:
         raise ValidationError("y and design have mismatched lengths")
     xc = x - x.mean()
     sxx = float(xc @ xc)
     if not sxx > 0.0:
         raise ValidationError("design matrix is rank deficient")
-    alpha = float(xc @ yv) / sxx
-    log_beta = float(yv.mean() - alpha * x.mean())
-    neff = _n_eff(y, n_eff)
+    alpha = float(xc @ y) / sxx
+    log_beta = float(y.mean() - alpha * x.mean())
     cov = None
     if gamma is not None:
         g = np.asarray(gamma, dtype=float)
-        if neff is None:
+        if n_eff is None:
             raise ValidationError("covariance scaling requires n_eff")
         ltl_inv = np.linalg.inv(design.T @ design)
-        cov = ltl_inv @ (design.T @ g @ design) @ ltl_inv / neff
-    return ThetaEstimate(alpha, log_beta, "ols", cov, neff)
+        cov = ltl_inv @ (design.T @ g @ design) @ ltl_inv / n_eff
+    return ThetaEstimate(alpha, log_beta, cov, n_eff)
 
 
 def _regularize(gamma):
@@ -185,35 +158,33 @@ def fgls_theta(y, design, gamma_tilde, n_eff=None):
     numerically singular the OLS estimate is returned with
     ``fallback_to_ols`` set.
     """
-    yv = _as_y(y)
-    neff = _n_eff(y, n_eff)
     greg = _regularize(gamma_tilde)
     try:
         gi_l = np.linalg.solve(greg, design)
-        gi_y = np.linalg.solve(greg, yv)
+        gi_y = np.linalg.solve(greg, np.asarray(y, dtype=float))
         a = design.T @ gi_l
         theta = np.linalg.solve(a, design.T @ gi_y)
         m = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         theta = None
     if theta is None or not np.all(np.isfinite(theta)):
-        base = ols_theta(y, design, n_eff=neff)
+        base = ols_theta(y, design, n_eff=n_eff)
         return ThetaEstimate(
-            base.alpha, base.log_beta, "fgls", base.cov, neff, fallback_to_ols=True
+            base.alpha, base.log_beta, base.cov, n_eff, fallback_to_ols=True
         )
-    cov = m / neff if neff is not None else None
-    return ThetaEstimate(float(theta[0]), float(theta[1]), "fgls", cov, neff)
+    cov = m / n_eff if n_eff is not None else None
+    return ThetaEstimate(float(theta[0]), float(theta[1]), cov, n_eff)
 
 
 def gof(y, design, theta, gamma_tilde, n_eff):
     """Goodness-of-fit statistic T = n_eff * ||y - L theta||^2_{Gamma^-1},
     asymptotically chi-square with ell-2 degrees of freedom."""
-    yv = _as_y(y)
-    resid = yv - design @ np.array([theta.alpha, theta.log_beta])
+    y = np.asarray(y, dtype=float)
+    resid = y - design @ np.array([theta.alpha, theta.log_beta])
     greg = _regularize(gamma_tilde)
     t_stat = float(n_eff) * float(resid @ np.linalg.solve(greg, resid))
     t_stat = max(t_stat, 0.0)
-    df = yv.size - 2
+    df = y.size - 2
     return GofResult(statistic=t_stat, df=df, p_value=chi2_sf(t_stat, df))
 
 
@@ -327,8 +298,9 @@ def _band_sums(wavelet, d_exp):
     return pair_sum, float(np.abs(wavelet.psi_hat(eta)) ** 2 @ (_power(eta, d_exp) * w))
 
 
-def _spectral_gamma(d_exp, grid, wavelet, trim):
-    """Spectral-form Gamma, one pair sum per coprime ratio pair.
+def _spectral_gamma(d_exp, grid, wavelet):
+    """Spectral-form Gamma, one pair sum per coprime ratio pair, for the
+    variance statistic trimmed by ``grid.trim``.
 
     With d = gcd(r_p, r_q) and (p, q) = (r_p, r_q) / d, substituting
     u = d eta gives gamma_{r_p r_q} = d gamma_{p q}.
@@ -337,7 +309,7 @@ def _spectral_gamma(d_exp, grid, wavelet, trim):
     pair_sum, j_norm = sums(wavelet, d_exp)
     if not j_norm > 0.0:
         raise NumericError("normalizing integral vanished")
-    scale = 2.0 / ((1.0 - 2.0 * trim) * j_norm**2)
+    scale = 2.0 / ((1.0 - 2.0 * grid.trim) * j_norm**2)
     ratios = grid.ratios
     ell = len(ratios)
     gam = np.empty((ell, ell))
@@ -357,26 +329,25 @@ def gamma_lrd(d_exp, grid, wavelet):
     pole exponent ``d_exp`` in (0,1)."""
     if not 0.0 < d_exp < 1.0:
         raise ValidationError("long-memory exponent must lie in (0,1)")
-    return _spectral_gamma(float(d_exp), grid, wavelet, 0.0)
+    return _spectral_gamma(float(d_exp), grid, wavelet)
 
 
-def gamma_locfrac(hurst, grid, wavelet, trim, freq_band=None):
+def gamma_locfrac(hurst, grid, wavelet, freq_band=None):
     """Asymptotic covariance for band-limited processes at exponent
-    ``hurst`` (any real); ``trim`` is the edge fraction dropped by the
-    trimmed variance statistic."""
+    ``hurst`` (any real), for the variance statistic trimmed by
+    ``grid.trim``: trimming a fraction w at each end divides Gamma by
+    1 - 2w."""
     if not wavelet.is_band_limited:
         raise ValidationError("band-limited wavelet required")
     if wavelet.mu > math.pi:
         raise ValidationError("wavelet band must end at or below pi")
-    if not 0.0 <= trim < 0.5:
-        raise ValidationError("trim fraction must lie in [0, 1/2)")
     if freq_band is not None:
         fmin, fmax = freq_band
         if wavelet.mu / wavelet.lam >= fmax / fmin:
             raise ValidationError(
                 "wavelet band too wide for the process band: need mu/lam < fmax/fmin"
             )
-    return _spectral_gamma(2.0 * float(hurst) + 1.0, grid, wavelet, float(trim))
+    return _spectral_gamma(2.0 * float(hurst) + 1.0, grid, wavelet)
 
 
 class _SelfSimilarKernel:
@@ -469,7 +440,7 @@ def gamma_fbm(hurst, grid, wavelet):
     return gam
 
 
-def make_gamma(family, grid, wavelet, trim=0.0, freq_band=None):
+def make_gamma(family, grid, wavelet, freq_band=None):
     """Plug-in covariance closure: maps a fitted slope to Gamma(alpha).
 
     Slopes are converted to the family's exponent and, for families with a
@@ -477,12 +448,11 @@ def make_gamma(family, grid, wavelet, trim=0.0, freq_band=None):
     still yields a usable weight matrix.
     """
     family = Family(family)
-    if family in (Family.FGN, Family.FARIMA):
-        return lambda alpha: gamma_lrd(float(np.clip(alpha, 0.01, 0.99)), grid, wavelet)
-    if family is Family.FBM:
-        return lambda alpha: gamma_fbm(
-            float(np.clip(0.5 * (alpha - 1.0), 0.01, 0.99)), grid, wavelet
+    if family is Family.LOCFRAC:
+        return lambda alpha: gamma_locfrac(
+            exponent_from_alpha(alpha, family), grid, wavelet, freq_band=freq_band
         )
-    return lambda alpha: gamma_locfrac(
-        0.5 * (alpha - 1.0), grid, wavelet, trim, freq_band=freq_band
+    gamma = gamma_fbm if family is Family.FBM else gamma_lrd
+    return lambda alpha: gamma(
+        float(np.clip(exponent_from_alpha(alpha, family), 0.01, 0.99)), grid, wavelet
     )

@@ -51,6 +51,8 @@ class RunParams:
 
     ``grid`` is the estimation grid (exponents, covariances, GoF);
     ``det_grid`` with ``det_objective`` drives the change-point search.
+    ``delta`` is the sampling step the grids were chosen for; :func:`analyze`
+    refuses a path sampled at another step.
     """
 
     family: Family
@@ -60,7 +62,7 @@ class RunParams:
     det_objective: str
     constraints: SegmentationConstraints
     v_n: float
-    kappa: float
+    delta: float
     freq_band: tuple | None = None
     notes: tuple = ()
 
@@ -113,8 +115,9 @@ def default_params(
     """Family defaults for wavelet, grids, margins and search constraints.
 
     Estimation scales follow a_N = N^(1/5+kappa) (long memory, kappa in
-    (0, 2/15)) or N^(1/3+kappa) (self-similar) with ratios 1..ell, and
-    band-limited processes get integer scales whose dilated spectral
+    (0, 2/15)) or N^(1/3+kappa) (self-similar, kappa in (0, 2/3), the
+    zero-spread limit of the admissible 1/(1+4A) - 1/3) with ratios 1..ell,
+    and band-limited processes get integer scales whose dilated spectral
     support stays inside the process band.  ``ell`` defaults to 0.15% of N.
 
     Detection grids are family-tuned unless ``profile="classic"``, which
@@ -166,6 +169,8 @@ def default_params(
             )
             det_objective = "stabilized"
     elif family is Family.FBM:
+        if not 0.0 < kappa < 2.0 / 3.0:
+            raise ValidationError("kappa must lie in (0, 2/3) for self-similar runs")
         a = a_base if a_base else max(2, round(n ** (1.0 / 3.0 + kappa)))
         wavelet = make_compact_poly(q)
         grid = ScaleGrid(a, tuple(range(1, ell + 1)), trim=0.0)
@@ -237,7 +242,7 @@ def default_params(
         det_objective=det_objective,
         constraints=constraints,
         v_n=v,
-        kappa=float(kappa),
+        delta=float(delta),
         freq_band=freq_band,
         notes=tuple(notes),
     )
@@ -245,11 +250,12 @@ def default_params(
 
 @dataclass(frozen=True)
 class SegmentFit:
-    """Per-segment estimates over the shrunk window [k_lo, k_hi)."""
+    """Per-segment estimates over the shrunk window [k_lo, k_hi); ``logvar``
+    holds log S at each scale of the estimation grid."""
 
     k_lo: int
     k_hi: int
-    logvar: object
+    logvar: np.ndarray
     ols: object
     fgls: object | None
     gof: object | None
@@ -281,6 +287,12 @@ def analyze(path, params, with_fgls=True, ci_level=0.95):
     """Detect the change instants, shrink the estimation windows, and fit
     every segment (OLS always; FGLS and the goodness-of-fit test when the
     plug-in covariance is available)."""
+    # The relative tolerance read_series_csv allows a CSV time column.
+    if abs(path.delta - params.delta) > 1e-9 * abs(params.delta):
+        raise ValidationError(
+            f"path sampled at delta={path.delta:g} but the parameters were "
+            f"chosen for delta={params.delta:g}"
+        )
     result = detect(
         path,
         params.wavelet,
@@ -293,25 +305,22 @@ def analyze(path, params, with_fgls=True, ci_level=0.95):
     table = ScalogramTable(path, params.wavelet, params.grid)
     design = design_matrix(params.grid)
     gamma_fn = make_gamma(
-        params.family,
-        params.grid,
-        params.wavelet,
-        trim=params.grid.trim,
-        freq_band=params.freq_band,
+        params.family, params.grid, params.wavelet, freq_band=params.freq_band
     )
     fits = []
     for k_lo, k_hi in result.shrunk:
         y = table.log_variance_vector(k_lo, k_hi)
-        theta_ols = ols_theta(y, design)
+        n_eff = (k_hi - k_lo) / params.grid.base
+        theta_ols = ols_theta(y, design, n_eff=n_eff)
         theta_fgls = gof_res = None
         exponent_fgls = None
         if with_fgls:
             # One plug-in covariance at the OLS slope serves the OLS
             # covariance, the FGLS weights and the goodness-of-fit test.
             gamma_tilde = gamma_fn(theta_ols.alpha)
-            theta_ols = ols_theta(y, design, gamma=gamma_tilde)
-            theta_fgls = fgls_theta(y, design, gamma_tilde)
-            gof_res = gof(y, design, theta_fgls, gamma_tilde, y.n_eff)
+            theta_ols = ols_theta(y, design, gamma=gamma_tilde, n_eff=n_eff)
+            theta_fgls = fgls_theta(y, design, gamma_tilde, n_eff=n_eff)
+            gof_res = gof(y, design, theta_fgls, gamma_tilde, n_eff)
             exponent_fgls = exponent_from_alpha(theta_fgls.alpha, params.family)
         ci = (
             confidence_interval(theta_ols, ci_level)[0]
@@ -340,8 +349,8 @@ def analyze(path, params, with_fgls=True, ci_level=0.95):
     )
 
 
-def _replicate(spec, n, delta, params, seed, with_fgls):
-    path = simulate_piecewise(spec, n, delta=delta, seed=seed)
+def _replicate(spec, n, params, seed, with_fgls):
+    path = simulate_piecewise(spec, n, delta=params.delta, seed=seed)
     report = analyze(path, params, with_fgls=with_fgls)
     rec = {"seed": seed, "tau_hat": report.result.tau_hat}
     rec["exponent_ols"] = tuple(s.exponent_ols for s in report.segments)
@@ -352,22 +361,20 @@ def _replicate(spec, n, delta, params, seed, with_fgls):
     return rec
 
 
-def run_montecarlo(spec, n, params, reps, seed=0, delta=1.0, with_fgls=False, workers=1):
-    """Replicate simulate-and-detect ``reps`` times with per-replicate seeds
-    seed+i, in the calling thread or a thread pool; results are collected
-    in replicate order either way."""
+def run_montecarlo(spec, n, params, reps, seed=0, with_fgls=False, workers=1):
+    """Replicate simulate-and-detect ``reps`` times at the sampling step
+    ``params.delta``, with per-replicate seeds seed+i, in the calling thread
+    or a thread pool; results are collected in replicate order either way."""
     if reps < 2:
         raise ValidationError("need at least 2 replicates")
     seeds = [seed + i for i in range(reps)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(
-                pool.map(
-                    lambda s: _replicate(spec, n, delta, params, s, with_fgls), seeds
-                )
+                pool.map(lambda s: _replicate(spec, n, params, s, with_fgls), seeds)
             )
     else:
-        records = [_replicate(spec, n, delta, params, s, with_fgls) for s in seeds]
+        records = [_replicate(spec, n, params, s, with_fgls) for s in seeds]
     return records
 
 

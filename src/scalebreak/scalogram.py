@@ -15,7 +15,9 @@ to the local scaling exponent.
 :meth:`ScalogramTable.log_variances` is the only code that evaluates this
 rule.  It runs over arrays of segment bounds, for the change-point search,
 and :meth:`ScalogramTable.log_variance_vector` is the same call at one
-segment, for the per-segment fits.
+segment, for the per-segment fits.  It returns a plain array of log S, one
+entry per grid scale; the fits take the segment's effective size
+n_eff = (k' - k)/a, with a the grid's base scale, from their caller.
 
 The search regresses the raw log-sums z = log sum e^2 instead of log S.
 log S = z + log(a / (1 - 2w)) - log L, and a regression residual with an
@@ -38,7 +40,6 @@ from .wavelet import coefficients_at_scale
 
 __all__ = [
     "ScaleGrid",
-    "LogVarianceVector",
     "ScalogramTable",
     "design_matrix",
 ]
@@ -89,23 +90,6 @@ class ScaleGrid:
         return np.log(self.scales)
 
 
-@dataclass(frozen=True)
-class LogVarianceVector:
-    """log S at each grid scale over the segment [k_lo, k_hi)."""
-
-    y: np.ndarray
-    k_lo: int
-    k_hi: int
-    n_eff: float
-    log_scales: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "log_scales", np.asarray(self.log_scales, dtype=float))
-        if self.k_lo >= self.k_hi:
-            raise ValidationError("need k_lo < k_hi")
-
-
 # A scale whose RMS coefficient is below this many units of rounding of
 # the largest term sum, eps * ||psi_a||_1 * max|x|, holds rounding noise.
 # A dot product of a terms is off by at most a * eps times that sum, so the
@@ -142,10 +126,7 @@ class ScalogramTable:
     def __init__(self, path, wavelet, grid):
         if grid.trim > 0.0 and not wavelet.is_band_limited:
             raise ValidationError("trim applies to band-limited wavelets only")
-        self.path = path
-        self.wavelet = wavelet
         self.grid = grid
-        self.trim = grid.trim
         self.n = path.n
         self.scales = grid.scales
         self.sq_prefix = []
@@ -183,7 +164,7 @@ class ScalogramTable:
         """
         k_lo = np.asarray(k_lo, dtype=float)
         k_hi = np.asarray(k_hi, dtype=float)
-        trim = self.trim
+        trim = self.grid.trim
         shape = np.broadcast_shapes(k_lo.shape, k_hi.shape)
         ok = np.ones(shape, dtype=bool)
         z = np.empty(shape)
@@ -207,7 +188,7 @@ class ScalogramTable:
             yield z, ok, p_lo, p_hi
 
     def log_variance_vector(self, k_lo, k_hi):
-        """Vector of log S over the scale grid for the segment [k_lo, k_hi),
+        """Array of log S over the scale grid for the segment [k_lo, k_hi),
         trimmed per the grid."""
         if not 0 <= k_lo < k_hi <= self.n:
             raise ValidationError("segment bounds fall outside the path")
@@ -218,17 +199,13 @@ class ScalogramTable:
                 raise ValidationError(
                     f"segment too short: {p_hi - p_lo} shifts at scale {a}"
                 )
-            ys.append(math.log(a / (1.0 - 2.0 * self.trim)) - log_len + float(z))
+            ys.append(
+                math.log(a / (1.0 - 2.0 * self.grid.trim)) - log_len + float(z)
+            )
         y = np.array(ys)
         if not np.all(np.isfinite(y)):
             raise NumericError("nonpositive variance: degenerate segment")
-        return LogVarianceVector(
-            y=y,
-            k_lo=int(k_lo),
-            k_hi=int(k_hi),
-            n_eff=(k_hi - k_lo) / self.grid.base,
-            log_scales=self.grid.log_scales,
-        )
+        return y
 
 
 def design_matrix(grid):

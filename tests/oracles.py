@@ -61,7 +61,7 @@ def segment_cost(y, design):
     Equals ||(I - P_L) y||^2 for the two-column design L; computed through
     the centered normal equations.
     """
-    y = np.asarray(getattr(y, "y", y), dtype=float)
+    y = np.asarray(y, dtype=float)
     x = design[:, 0]
     if y.shape != x.shape:
         raise ValidationError("y and design have mismatched lengths")

@@ -309,7 +309,7 @@ def _mc_log_variance(spec_kwargs, n, grid, wavelet, reps, seed0, delta=1.0):
     for i in range(reps):
         path = simulate_piecewise(spec, n, delta=delta, seed=seed0 + i)
         tab = ScalogramTable(path, wavelet, grid)
-        vals[i] = tab.log_variance_vector(0, n).y[0]
+        vals[i] = tab.log_variance_vector(0, n)[0]
     return float(np.var(vals, ddof=1) * (n / grid.base))
 
 
@@ -331,7 +331,7 @@ def test_criterion_9_gamma_monte_carlo():
 
     wbl = make_band_limited(2.0, 3.0)
     grid_bl = ScaleGrid(1, (10, 13, 16), trim=0.1)
-    analytic = gamma_locfrac(0.6, grid_bl, wbl, trim=0.1)[0, 0]
+    analytic = gamma_locfrac(0.6, grid_bl, wbl)[0, 0]
     mc = _mc_log_variance(
         dict(family="locfrac", exponents=(0.6,), freq_band=(0.3, 1.2)),
         12000, grid_bl, wbl, reps, 92_000, delta=0.25,

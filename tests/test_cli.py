@@ -209,6 +209,35 @@ class TestDetect:
         result = json.loads(out.read_text())
         assert result["segments"] == json.loads(default.read_text())["segments"]
 
+    def test_config_hash_ignores_file_names(self, tmp_path):
+        series = tmp_path / "series.csv"
+        run_cli(
+            "simulate", "--family", "fgn", "--n", "4096", "--exponents", "0.5",
+            "--seed", "4", "--out", series,
+        )
+        hashes = []
+        for name, extra in [("a", []), ("b", []), ("c", ["--m", "1"])]:
+            out = tmp_path / f"{name}.json"
+            assert run_cli(
+                "detect", "--family", "fgn", "--ell", "6", *extra,
+                "--input", series, "--out", out,
+            ) == 0
+            chash = json.loads(out.read_text())["config_hash"]
+            header = (tmp_path / f"{name}_scalogram.csv").read_text().splitlines()[0]
+            assert header.startswith(f"# config_hash={chash} ")
+            hashes.append(chash)
+        assert hashes[0] == hashes[1] != hashes[2]
+
+    def test_fbm_kappa_out_of_range_exits_2(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        np.savetxt(series, np.random.default_rng(6).normal(size=5001))
+        code = run_cli(
+            "detect", "--family", "fbm", "--kappa", "-0.5", "--ell", "7",
+            "--input", series, "--out", tmp_path / "res.json",
+        )
+        assert code == 2
+        assert "kappa must lie in (0, 2/3)" in capsys.readouterr().err
+
     def test_nonuniform_spacing_rejected(self, tmp_path):
         f = tmp_path / "tx.csv"
         f.write_text("0.0,1.0\n1.0,2.0\n2.5,3.0\n")

@@ -1,21 +1,18 @@
 import logging
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import scalebreak.estimate as estimate
 from oracles import spectral_gamma
 from scalebreak import (
-    LogVarianceVector,
     NumericError,
     ScaleGrid,
     ValidationError,
-    alpha_from_exponent,
     chi2_quantile,
     chi2_sf,
     confidence_interval,
@@ -26,9 +23,9 @@ from scalebreak import (
     gamma_locfrac,
     gamma_lrd,
     gof,
-    hurst_from_alpha,
     make_band_limited,
     make_compact_poly,
+    make_gamma,
     ols_theta,
 )
 
@@ -36,25 +33,13 @@ W3 = make_compact_poly(3)
 WBL = make_band_limited(2.0, 3.0)
 
 
-def make_logvar(y, grid, n_eff=100.0):
-    return LogVarianceVector(
-        y=np.asarray(y, dtype=float),
-        k_lo=0,
-        k_hi=int(n_eff * grid.base),
-        n_eff=n_eff,
-        log_scales=grid.log_scales,
-    )
-
-
 class TestOls:
     def test_exact_recovery_on_linear_input(self):
         grid = ScaleGrid(8, (1, 2, 4, 8))
         L = design_matrix(grid)
-        y = make_logvar(0.6 * grid.log_scales + 1.2, grid)
-        est = ols_theta(y, L)
+        est = ols_theta(0.6 * grid.log_scales + 1.2, L)
         assert est.alpha == pytest.approx(0.6, rel=1e-12)
         assert est.log_beta == pytest.approx(1.2, rel=1e-12)
-        assert est.method == "ols"
 
     def test_orthogonal_noise_leaves_slope(self):
         grid = ScaleGrid(8, (1, 2, 4, 8))
@@ -64,7 +49,7 @@ class TestOls:
         noise = np.array([1.0, -1.0, -1.0, 1.0])
         noise = noise - noise.mean()
         noise -= (noise @ xc) / (xc @ xc) * xc  # orthogonalize to the design
-        est = ols_theta(make_logvar(x + noise, grid), L)
+        est = ols_theta(x + noise, L)
         assert est.alpha == pytest.approx(1.0, rel=1e-9)
 
     def test_rank_deficient_design_rejected(self):
@@ -76,8 +61,7 @@ class TestOls:
         grid = ScaleGrid(8, (1, 2, 4))
         L = design_matrix(grid)
         gam = np.eye(3)
-        y = make_logvar([0.1, 0.2, 0.3], grid, n_eff=50.0)
-        est = ols_theta(y, L, gamma=gam)
+        est = ols_theta([0.1, 0.2, 0.3], L, gamma=gam, n_eff=50.0)
         ltl_inv = np.linalg.inv(L.T @ L)
         np.testing.assert_allclose(est.cov, ltl_inv / 50.0, rtol=1e-12)
 
@@ -138,20 +122,20 @@ class TestGammaLrd:
 class TestBatchedGamma:
     """The lattice and band pair sums against the serial lag-sum oracle."""
 
-    @pytest.mark.parametrize("d_exp, grid, wavelet, trim", [
-        (0.2, ScaleGrid(1, tuple(range(1, 31))), W3, 0.0),
-        (0.5, ScaleGrid(1, tuple(range(1, 31))), W3, 0.0),
-        (0.8, ScaleGrid(1, tuple(range(1, 31))), W3, 0.0),
-        (1.6, ScaleGrid(1, tuple(range(1, 8))), W3, 0.0),  # fbm route, H = 0.3
-        (2.4, ScaleGrid(1, tuple(range(1, 8))), W3, 0.0),  # fbm route, H = 0.7
-        (2.2, ScaleGrid(1, (10, 13, 16)), WBL, 0.1),
-        (0.4, ScaleGrid(2, (2, 4, 6, 9, 12)), W3, 0.0),  # gcd > 1 off the diagonal
-        (2.2, ScaleGrid(1, (4, 10, 40)), WBL, 0.1),  # disjoint bands
+    @pytest.mark.parametrize("d_exp, grid, wavelet", [
+        (0.2, ScaleGrid(1, tuple(range(1, 31))), W3),
+        (0.5, ScaleGrid(1, tuple(range(1, 31))), W3),
+        (0.8, ScaleGrid(1, tuple(range(1, 31))), W3),
+        (1.6, ScaleGrid(1, tuple(range(1, 8))), W3),  # fbm route, H = 0.3
+        (2.4, ScaleGrid(1, tuple(range(1, 8))), W3),  # fbm route, H = 0.7
+        (2.2, ScaleGrid(1, (10, 13, 16), trim=0.1), WBL),
+        (0.4, ScaleGrid(2, (2, 4, 6, 9, 12)), W3),  # gcd > 1 off the diagonal
+        (2.2, ScaleGrid(1, (4, 10, 40), trim=0.1), WBL),  # disjoint bands
     ], ids=["lrd-0.2", "lrd-0.5", "lrd-0.8", "fbm-0.3", "fbm-0.7",
             "band-limited", "gcd", "disjoint"])
-    def test_matches_serial_oracle(self, d_exp, grid, wavelet, trim):
-        g = estimate._spectral_gamma(d_exp, grid, wavelet, trim)
-        ref = spectral_gamma(d_exp, grid, wavelet, trim)
+    def test_matches_serial_oracle(self, d_exp, grid, wavelet):
+        g = estimate._spectral_gamma(d_exp, grid, wavelet)
+        ref = spectral_gamma(d_exp, grid, wavelet, grid.trim)
         np.testing.assert_array_equal(g == 0.0, ref == 0.0)
         tol = 1e-8 if wavelet.is_band_limited else 1e-11
         assert np.max(np.abs(g - ref)) <= tol * np.max(np.abs(ref))
@@ -258,42 +242,45 @@ class TestGammaFbm:
 
 
 class TestGammaLocfrac:
-    GRID = ScaleGrid(1, (10, 13, 16, 20))
+    GRID = ScaleGrid(1, (10, 13, 16, 20), trim=0.1)
 
     def test_symmetry_positive_diagonal(self):
-        g = gamma_locfrac(0.6, self.GRID, WBL, trim=0.1)
+        g = gamma_locfrac(0.6, self.GRID, WBL)
         np.testing.assert_allclose(g, g.T, atol=1e-10)
         assert np.all(np.diag(g) > 0)
 
     def test_disjoint_bands_give_zero(self):
         # r_p lam > r_q mu: no spectral overlap.
-        grid = ScaleGrid(1, (4, 10, 40))
-        g = gamma_locfrac(0.6, grid, WBL, trim=0.1)
+        grid = ScaleGrid(1, (4, 10, 40), trim=0.1)
+        g = gamma_locfrac(0.6, grid, WBL)
         assert g[0, 2] == 0.0  # 40 * 2.0 > 4 * 3.0 -> dilated supports disjoint
         assert g[0, 1] == 0.0  # 10 * 2 = 20 > 4 * 3 = 12
         assert g[1, 2] == 0.0  # (10, 40) reduces to (1, 4): eta in [2, 0.75] is empty
         # Scales 10 and 13 overlap on eta in [0.2, 0.231].
-        assert gamma_locfrac(0.6, self.GRID, WBL, trim=0.1)[0, 1] != 0.0
+        assert gamma_locfrac(0.6, self.GRID, WBL)[0, 1] != 0.0
 
     def test_trim_inflates_variance(self):
-        g0 = gamma_locfrac(0.6, self.GRID, WBL, trim=0.0)
-        g2 = gamma_locfrac(0.6, self.GRID, WBL, trim=0.2)
+        g0 = gamma_locfrac(0.6, replace(self.GRID, trim=0.0), WBL)
+        g2 = gamma_locfrac(0.6, replace(self.GRID, trim=0.2), WBL)
         np.testing.assert_allclose(g2, g0 / 0.6, rtol=1e-10)
+        # The plug-in closure reads the same trim: alpha = 2.2 is H = 0.6.
+        closure = make_gamma("locfrac", replace(self.GRID, trim=0.2), WBL)
+        np.testing.assert_array_equal(closure(2.2), g2)
 
     def test_any_real_exponent(self):
-        g = gamma_locfrac(1.4, self.GRID, WBL, trim=0.1)
+        g = gamma_locfrac(1.4, self.GRID, WBL)
         assert np.all(np.isfinite(g)) and np.all(np.diag(g) > 0)
 
     def test_band_condition(self):
         with pytest.raises(ValidationError):
-            gamma_locfrac(0.6, self.GRID, WBL, trim=0.1, freq_band=(1.0, 1.2))
+            gamma_locfrac(0.6, self.GRID, WBL, freq_band=(1.0, 1.2))
 
     def test_band_above_pi_rejected(self):
         # Past pi the Hermitian extension folds onto itself.  The band is
         # all the check reads, so a stand-in spares building the wavelet.
         wide = SimpleNamespace(is_band_limited=True, lam=2.0, mu=3.2)
         with pytest.raises(ValidationError, match="pi"):
-            gamma_locfrac(0.6, self.GRID, wide, trim=0.1)
+            gamma_locfrac(0.6, self.GRID, wide)
 
 
 class TestFgls:
@@ -301,18 +288,18 @@ class TestFgls:
         grid = ScaleGrid(8, (1, 2, 4, 8))
         L = design_matrix(grid)
         rng = np.random.default_rng(0)
-        y = make_logvar(rng.normal(size=4), grid)
+        y = rng.normal(size=4)
         a = ols_theta(y, L)
         b = fgls_theta(y, L, np.eye(4))
         assert b.alpha == pytest.approx(a.alpha, rel=1e-9)
         assert b.log_beta == pytest.approx(a.log_beta, rel=1e-9)
-        assert b.method == "fgls" and not b.fallback_to_ols
+        assert not b.fallback_to_ols
 
     def test_scalar_multiple_of_identity_equals_ols(self):
         grid = ScaleGrid(8, (1, 2, 4, 8))
         L = design_matrix(grid)
         rng = np.random.default_rng(1)
-        y = make_logvar(rng.normal(size=4), grid)
+        y = rng.normal(size=4)
         a = ols_theta(y, L)
         b = fgls_theta(y, L, 7.3 * np.eye(4))
         assert b.alpha == pytest.approx(a.alpha, rel=1e-9)
@@ -325,8 +312,8 @@ class TestFgls:
     def test_fgls_beats_ols_in_psd_order(self, family, expo):
         # M = (L' G^-1 L)^-1 <= Sigma = (L'L)^-1 L' G L (L'L)^-1.
         if family == "locfrac":
-            grid = ScaleGrid(1, (10, 13, 16, 20))
-            gam = gamma_locfrac(expo, grid, WBL, trim=0.1)
+            grid = ScaleGrid(1, (10, 13, 16, 20), trim=0.1)
+            gam = gamma_locfrac(expo, grid, WBL)
         else:
             grid = ScaleGrid(8, (1, 2, 3, 4))
             gam = (
@@ -353,7 +340,7 @@ class TestFgls:
     def test_singular_gamma_falls_back(self):
         grid = ScaleGrid(8, (1, 2, 4, 8))
         L = design_matrix(grid)
-        y = make_logvar([1.0, 2.0, 3.0, 4.0], grid)
+        y = np.array([1.0, 2.0, 3.0, 4.0])
         bad = np.full((4, 4), np.nan)
         est = fgls_theta(y, L, bad)
         assert est.fallback_to_ols
@@ -365,10 +352,10 @@ class TestGof:
     def test_exactly_linear_gives_zero(self):
         grid = ScaleGrid(8, (1, 2, 4, 8, 16))
         L = design_matrix(grid)
-        y = make_logvar(0.5 * grid.log_scales - 0.2, grid)
+        y = 0.5 * grid.log_scales - 0.2
         gam = np.eye(5)
         theta = fgls_theta(y, L, gam)
-        res = gof(y, L, theta, gam, y.n_eff)
+        res = gof(y, L, theta, gam, 100.0)
         assert res.statistic == pytest.approx(0.0, abs=1e-18)
         assert res.p_value == pytest.approx(1.0)
         assert res.df == 3
@@ -388,12 +375,12 @@ class TestGof:
         rng = np.random.default_rng(2)
         base = rng.normal(size=5)
         gam = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
-        y1 = make_logvar(base, grid)
-        y2 = make_logvar(base + 2 * math.log(3.0), grid)
+        y1 = base
+        y2 = base + 2 * math.log(3.0)
         t1 = fgls_theta(y1, L, gam)
         t2 = fgls_theta(y2, L, gam)
-        g1 = gof(y1, L, t1, gam, y1.n_eff)
-        g2 = gof(y2, L, t2, gam, y2.n_eff)
+        g1 = gof(y1, L, t1, gam, 100.0)
+        g2 = gof(y2, L, t2, gam, 100.0)
         assert g1.statistic == pytest.approx(g2.statistic, rel=1e-9, abs=1e-12)
 
 
@@ -401,8 +388,7 @@ class TestConfidenceInterval:
     def _est(self):
         grid = ScaleGrid(8, (1, 2, 4))
         L = design_matrix(grid)
-        y = make_logvar([0.1, 0.5, 0.9], grid, n_eff=100.0)
-        return ols_theta(y, L, gamma=np.eye(3))
+        return ols_theta([0.1, 0.5, 0.9], L, gamma=np.eye(3), n_eff=100.0)
 
     def test_level_zero_degenerates(self):
         est = self._est()
@@ -412,8 +398,7 @@ class TestConfidenceInterval:
 
     def test_zero_covariance_gives_zero_width(self):
         est = self._est()
-        zero = type(est)(est.alpha, est.log_beta, est.method, np.zeros((2, 2)),
-                         est.n_eff)
+        zero = replace(est, cov=np.zeros((2, 2)))
         (lo, hi), _ = confidence_interval(zero, 0.95)
         assert lo == hi == pytest.approx(est.alpha)
 
@@ -425,26 +410,17 @@ class TestConfidenceInterval:
 
     def test_requires_covariance(self):
         grid = ScaleGrid(8, (1, 2, 4))
-        est = ols_theta(make_logvar([0.0, 1.0, 2.0], grid), design_matrix(grid))
+        est = ols_theta([0.0, 1.0, 2.0], design_matrix(grid))
         with pytest.raises(ValidationError):
             confidence_interval(est, 0.95)
 
 
 class TestConversions:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.sampled_from(["fgn", "farima", "fbm", "locfrac"]),
-        st.floats(min_value=-2.0, max_value=3.0, allow_nan=False),
-    )
-    def test_round_trip(self, family, expo):
-        alpha = alpha_from_exponent(expo, family)
-        back = exponent_from_alpha(alpha, family)
-        assert back == pytest.approx(expo, rel=1e-12, abs=1e-12)
-
-    def test_lrd_hurst_reading(self):
-        assert hurst_from_alpha(0.2, "fgn") == pytest.approx(0.6)
-        assert hurst_from_alpha(0.8, "farima") == pytest.approx(0.9)
-
-    def test_selfsim_hurst_reading(self):
-        assert hurst_from_alpha(2.6, "fbm") == pytest.approx(0.8)
-        assert hurst_from_alpha(2.2, "locfrac") == pytest.approx(0.6)
+    @pytest.mark.parametrize("family,alpha,expo", [
+        ("fgn", 0.2, 0.2),
+        ("farima", 0.8, 0.8),
+        ("fbm", 2.6, 0.8),
+        ("locfrac", -1.8, -1.4),
+    ])
+    def test_exponent_from_alpha(self, family, alpha, expo):
+        assert exponent_from_alpha(alpha, family) == pytest.approx(expo, rel=1e-12)

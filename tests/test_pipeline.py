@@ -3,6 +3,7 @@ import pytest
 
 from scalebreak import (
     PiecewiseSpec,
+    SampledPath,
     ValidationError,
     analyze,
     default_params,
@@ -40,6 +41,9 @@ class TestDefaultParams:
             default_params(
                 "locfrac", 1000, kappa=0.7, freq_band=(0.3, 1.2), delta=0.25
             )
+        for kappa in (-0.5, 0.9):
+            with pytest.raises(ValidationError, match="2/3"):
+                default_params("fbm", 5000, m=1, ell=7, kappa=kappa)
 
     def test_fbm_invalid_kappa_for_spread_flagged(self):
         p = default_params("fbm", 5000, exponent_spread=0.45, kappa=0.1)
@@ -118,6 +122,16 @@ class TestAnalyze:
         assert rep.segments[0].fgls is None
         assert rep.segments[0].gof is None
 
+    def test_refuses_path_at_another_delta(self):
+        spec = PiecewiseSpec(family="fgn", exponents=(0.5,))
+        params = default_params("fgn", 4096, m=0, ell=6)
+        path = simulate_piecewise(spec, 4096, seed=2)
+        with pytest.raises(ValidationError, match="delta=0.5"):
+            analyze(SampledPath(values=path.values, delta=0.5), params)
+        # Within the 1e-9 relative tolerance of a CSV time column.
+        near = SampledPath(values=path.values, delta=1.0 + 1e-12)
+        assert analyze(near, params, with_fgls=False).result.delta == near.delta
+
     def test_locfrac_pipeline_end_to_end(self):
         spec = PiecewiseSpec(
             family="locfrac", exponents=(0.6,), freq_band=(0.3, 1.2)
@@ -189,6 +203,23 @@ class TestMonteCarlo:
         }
         for stats in summ.values():
             assert {"mean", "sigma_hat", "sqrt_mse", "true"} <= set(stats)
+
+    def test_locfrac_simulates_at_params_delta(self):
+        spec = PiecewiseSpec(
+            family="locfrac", exponents=(0.6,), freq_band=(0.3, 1.2)
+        )
+        params = default_params(
+            "locfrac", 8000, m=0, ell=7, delta=0.25, freq_band=(0.3, 1.2)
+        )
+        recs = run_montecarlo(spec, 8000, params, reps=2, seed=3, with_fgls=True)
+        for i, rec in enumerate(recs):
+            path = simulate_piecewise(spec, 8000, delta=params.delta, seed=3 + i)
+            rep = analyze(path, params)
+            assert rec["tau_hat"] == rep.result.tau_hat
+            assert rec["exponent_ols"] == tuple(s.exponent_ols for s in rep.segments)
+            assert rec["exponent_fgls"] == tuple(
+                s.exponent_fgls for s in rep.segments
+            )
 
     def test_rejects_single_replicate(self):
         spec = PiecewiseSpec(family="fgn", exponents=(0.5,))
