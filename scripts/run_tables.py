@@ -34,7 +34,7 @@ DESIGNS = {
 }
 
 
-def run_one(name, design, reps, seed, workers):
+def run_one(name, design, reps, seed):
     spec = sb.PiecewiseSpec(**design["spec"])
     ns = design["n"] if isinstance(design["n"], tuple) else (design["n"],)
     ells = design["ell"] if isinstance(design["ell"], tuple) else (design["ell"],)
@@ -48,7 +48,7 @@ def run_one(name, design, reps, seed, workers):
         t0 = time.time()
         recs = run_montecarlo(
             spec, n, params, reps=reps, seed=seed,
-            with_fgls=design.get("fgls", False), workers=workers,
+            with_fgls=design.get("fgls", False),
         )
         summary = summarize(recs, spec)
         print(f"\n== {name} (N={n}, ell={ell}, reps={reps}) "
@@ -66,13 +66,11 @@ def main():
     parser.add_argument("--table", choices=[*DESIGNS, "all"], default="all")
     parser.add_argument("--reps", type=int)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
     names = list(DESIGNS) if args.table == "all" else [args.table]
     for name in names:
         design = DESIGNS[name]
-        run_one(name, design, args.reps or design["reps"], args.seed,
-                args.workers)
+        run_one(name, design, args.reps or design["reps"], args.seed)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .estimate import QUADRATURE_META
-from .pipeline import analyze, default_params, run_montecarlo, summarize
+from .pipeline import analyze, columns, default_params, run_montecarlo, summarize
 from .synth import Family, PiecewiseSpec, SampledPath, simulate_piecewise
 
 __all__ = ["main", "build_parser"]
@@ -241,26 +241,16 @@ def cmd_montecarlo(cfg):
         reps=cfg["reps"],
         seed=cfg["seed"],
         with_fgls=cfg.get("fgls", False),
-        workers=cfg.get("workers", 1),
     )
+    cols = columns(records, spec)
     summary = summarize(records, spec)
     out = cfg["out"]
-    m = spec.m
-    cols = [f"tau_{j + 1}" for j in range(m)]
-    cols += [f"exp_{j}_ols" for j in range(m + 1)]
-    if cfg.get("fgls"):
-        cols += [f"exp_{j}_fgls" for j in range(m + 1)]
     with open(out, "w", newline="") as fh:
         fh.write(f"# config_hash={chash} seed={cfg['seed']}\n")
         writer = csv.writer(fh)
-        writer.writerow(["rep", "seed"] + cols)
+        writer.writerow(["rep", "seed", *cols])
         for i, rec in enumerate(records):
-            row = [i, rec["seed"]]
-            row += [rec["tau_hat"][j] for j in range(m)]
-            row += [rec["exponent_ols"][j] for j in range(m + 1)]
-            if cfg.get("fgls"):
-                row += [rec["exponent_fgls"][j] for j in range(m + 1)]
-            writer.writerow(row)
+            writer.writerow([i, rec["seed"], *(vals[i] for vals, _ in cols.values())])
         for stat in ("mean", "sigma_hat", "sqrt_mse"):
             writer.writerow(
                 [stat, ""] + [summary[c][stat] for c in cols]
@@ -322,7 +312,6 @@ def build_parser():
     add_common(p_mc)
     p_mc.add_argument("--reps", type=int)
     p_mc.add_argument("--fgls", action="store_true", default=None)
-    p_mc.add_argument("--workers", type=int)
     return parser
 
 

@@ -332,7 +332,7 @@ def gamma_lrd(d_exp, grid, wavelet):
     return _spectral_gamma(float(d_exp), grid, wavelet)
 
 
-def gamma_locfrac(hurst, grid, wavelet, freq_band=None):
+def gamma_locfrac(hurst, grid, wavelet):
     """Asymptotic covariance for band-limited processes at exponent
     ``hurst`` (any real), for the variance statistic trimmed by
     ``grid.trim``: trimming a fraction w at each end divides Gamma by
@@ -341,12 +341,6 @@ def gamma_locfrac(hurst, grid, wavelet, freq_band=None):
         raise ValidationError("band-limited wavelet required")
     if wavelet.mu > math.pi:
         raise ValidationError("wavelet band must end at or below pi")
-    if freq_band is not None:
-        fmin, fmax = freq_band
-        if wavelet.mu / wavelet.lam >= fmax / fmin:
-            raise ValidationError(
-                "wavelet band too wide for the process band: need mu/lam < fmax/fmin"
-            )
     return _spectral_gamma(2.0 * float(hurst) + 1.0, grid, wavelet)
 
 
@@ -440,7 +434,7 @@ def gamma_fbm(hurst, grid, wavelet):
     return gam
 
 
-def make_gamma(family, grid, wavelet, freq_band=None):
+def make_gamma(family, grid, wavelet):
     """Plug-in covariance closure: maps a fitted slope to Gamma(alpha).
 
     Slopes are converted to the family's exponent and, for families with a
@@ -450,7 +444,7 @@ def make_gamma(family, grid, wavelet, freq_band=None):
     family = Family(family)
     if family is Family.LOCFRAC:
         return lambda alpha: gamma_locfrac(
-            exponent_from_alpha(alpha, family), grid, wavelet, freq_band=freq_band
+            exponent_from_alpha(alpha, family), grid, wavelet
         )
     gamma = gamma_fbm if family is Family.FBM else gamma_lrd
     return lambda alpha: gamma(

@@ -12,7 +12,6 @@ families.  Every choice is overridable.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .estimate import (
 )
 from .scalogram import ScaleGrid, ScalogramTable, design_matrix
 from .segment import SegmentationConstraints, detect, shrink
-from .synth import Family, simulate_piecewise
+from .synth import Family, _band, simulate_piecewise
 from .wavelet import make_band_limited, make_compact_poly
 
 __all__ = [
@@ -38,6 +37,7 @@ __all__ = [
     "default_params",
     "analyze",
     "run_montecarlo",
+    "columns",
     "summarize",
 ]
 
@@ -51,8 +51,8 @@ class RunParams:
 
     ``grid`` is the estimation grid (exponents, covariances, GoF);
     ``det_grid`` with ``det_objective`` drives the change-point search.
-    ``delta`` is the sampling step the grids were chosen for; :func:`analyze`
-    refuses a path sampled at another step.
+    ``n`` and ``delta`` are the length and sampling step the grids were
+    chosen for; :func:`analyze` refuses a path of another length or step.
     """
 
     family: Family
@@ -62,8 +62,8 @@ class RunParams:
     det_objective: str
     constraints: SegmentationConstraints
     v_n: float
+    n: int
     delta: float
-    freq_band: tuple | None = None
     notes: tuple = ()
 
 
@@ -79,18 +79,6 @@ def _dense_det_grid(lo, hi):
     otherwise produces stray cost minima."""
     hi = max(hi, lo + 60)
     return ScaleGrid(1, tuple(range(int(lo), int(hi) + 1)))
-
-
-def _band(name, band):
-    """(lo, hi) as floats; a band from a config or the command line must be
-    two finite numbers with 0 < lo < hi."""
-    try:
-        lo, hi = (float(x) for x in band)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be two numbers, got {band!r}") from None
-    if not (math.isfinite(hi) and 0.0 < lo < hi):
-        raise ValidationError(f"{name} needs finite 0 < lo < hi, got {band!r}")
-    return lo, hi
 
 
 def default_params(
@@ -141,6 +129,9 @@ def default_params(
     notes = []
     if profile not in ("tuned", "classic"):
         raise ValidationError("profile must be 'tuned' or 'classic'")
+    delta = float(delta)
+    if not 0.0 < delta < math.inf:
+        raise ValidationError(f"delta must be finite and positive, got {delta}")
     if ell is None:
         ell = max(3, round(0.0015 * n))
     ell = int(ell)
@@ -153,21 +144,13 @@ def default_params(
         wavelet = make_compact_poly(q)
         grid = ScaleGrid(a, tuple(range(1, ell + 1)), trim=0.0)
         v = float(v_n) if v_n else n ** (0.4 - 3.0 * kappa)
-        if profile == "classic":
-            det_grid, det_objective = grid, "plain"
-        elif family is Family.FGN:
+        if family is Family.FGN or min_det_scale:
             det_grid = _stationary_det_grid(ell, int(min_det_scale or 2))
-            det_objective = "stabilized"
         else:
             # FARIMA spectra have matched low-frequency intercepts, which
             # makes the variance-anchored small-scale grid misleading; a
             # wide dense grid localizes well.
-            det_grid = (
-                _stationary_det_grid(ell, int(min_det_scale))
-                if min_det_scale
-                else _dense_det_grid(a, round(n / 40))
-            )
-            det_objective = "stabilized"
+            det_grid = _dense_det_grid(a, round(n / 40))
     elif family is Family.FBM:
         if not 0.0 < kappa < 2.0 / 3.0:
             raise ValidationError("kappa must lie in (0, 2/3) for self-similar runs")
@@ -188,10 +171,7 @@ def default_params(
                 notes.append("exponent spread >= 1/2: outside the convergence regime")
             v_exp = 1.0 / 3.0
         v = float(v_n) if v_n else n ** max(v_exp, 0.05)
-        if profile == "classic":
-            det_grid, det_objective = grid, "plain"
-        else:
-            det_grid, det_objective = _dense_det_grid(20, round(n / 20)), "stabilized"
+        det_grid = _dense_det_grid(20, round(n / 20))
     elif family is Family.LOCFRAC:
         if freq_band is None:
             raise ValidationError("locfrac defaults require freq_band=(fmin, fmax)")
@@ -219,9 +199,12 @@ def default_params(
         a = a_base if a_base else 1
         v = float(v_n) if v_n else n ** (0.5 - kappa)
         grid = ScaleGrid(a, ratios, trim=trim)
-        det_grid, det_objective = grid, "stabilized" if profile == "tuned" else "plain"
+        det_grid = grid
     else:  # pragma: no cover
         raise ValidationError(f"unknown family {family}")
+    det_objective = "stabilized"
+    if profile == "classic":
+        det_grid, det_objective = grid, "plain"
     det_top = det_grid.base * det_grid.ratios[-1]
     est_top = grid.base * grid.ratios[-1]
     if min_len is None:
@@ -242,8 +225,8 @@ def default_params(
         det_objective=det_objective,
         constraints=constraints,
         v_n=v,
-        delta=float(delta),
-        freq_band=freq_band,
+        n=n,
+        delta=delta,
         notes=tuple(notes),
     )
 
@@ -268,7 +251,6 @@ class SegmentFit:
 class DetectionReport:
     result: object
     segments: tuple
-    family: Family
     margin: float
     margin_clamped: bool = False
 
@@ -287,6 +269,11 @@ def analyze(path, params, with_fgls=True, ci_level=0.95):
     """Detect the change instants, shrink the estimation windows, and fit
     every segment (OLS always; FGLS and the goodness-of-fit test when the
     plug-in covariance is available)."""
+    if path.n != params.n:
+        raise ValidationError(
+            f"path has N={path.n} steps but the parameters were chosen for "
+            f"N={params.n}"
+        )
     # The relative tolerance read_series_csv allows a CSV time column.
     if abs(path.delta - params.delta) > 1e-9 * abs(params.delta):
         raise ValidationError(
@@ -304,9 +291,7 @@ def analyze(path, params, with_fgls=True, ci_level=0.95):
     result = shrink(result, result.n / margin)
     table = ScalogramTable(path, params.wavelet, params.grid)
     design = design_matrix(params.grid)
-    gamma_fn = make_gamma(
-        params.family, params.grid, params.wavelet, freq_band=params.freq_band
-    )
+    gamma_fn = make_gamma(params.family, params.grid, params.wavelet)
     fits = []
     for k_lo, k_hi in result.shrunk:
         y = table.log_variance_vector(k_lo, k_hi)
@@ -343,14 +328,13 @@ def analyze(path, params, with_fgls=True, ci_level=0.95):
     return DetectionReport(
         result=result,
         segments=tuple(fits),
-        family=params.family,
         margin=margin,
         margin_clamped=clamped,
     )
 
 
-def _replicate(spec, n, params, seed, with_fgls):
-    path = simulate_piecewise(spec, n, delta=params.delta, seed=seed)
+def _replicate(spec, params, seed, with_fgls):
+    path = simulate_piecewise(spec, params.n, delta=params.delta, seed=seed)
     report = analyze(path, params, with_fgls=with_fgls)
     rec = {"seed": seed, "tau_hat": report.result.tau_hat}
     rec["exponent_ols"] = tuple(s.exponent_ols for s in report.segments)
@@ -361,42 +345,39 @@ def _replicate(spec, n, params, seed, with_fgls):
     return rec
 
 
-def run_montecarlo(spec, n, params, reps, seed=0, with_fgls=False, workers=1):
-    """Replicate simulate-and-detect ``reps`` times at the sampling step
-    ``params.delta``, with per-replicate seeds seed+i, in the calling thread
-    or a thread pool; results are collected in replicate order either way."""
+def run_montecarlo(spec, n, params, reps, seed=0, with_fgls=False):
+    """Replicate simulate-and-detect ``reps`` times at ``params.n`` and
+    ``params.delta``, with per-replicate seeds seed+i, in replicate order.
+    ``n`` must equal ``params.n``."""
     if reps < 2:
         raise ValidationError("need at least 2 replicates")
-    seeds = [seed + i for i in range(reps)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(lambda s: _replicate(spec, n, params, s, with_fgls), seeds)
-            )
-    else:
-        records = [_replicate(spec, n, params, s, with_fgls) for s in seeds]
-    return records
+    if n != params.n:
+        raise ValidationError(f"n={n} but the parameters were chosen for N={params.n}")
+    return [_replicate(spec, params, seed + i, with_fgls) for i in range(reps)]
+
+
+def columns(records, spec):
+    """Column name -> (per-replicate values, true value) in the order of the
+    Monte Carlo CSV: every tau_j, every exp_j_ols, then every exp_j_fgls
+    when the records carry FGLS."""
+    cols = {}
+    for j, tau in enumerate(spec.tau_stars):
+        cols[f"tau_{j + 1}"] = ([r["tau_hat"][j] for r in records], tau)
+    for method in ("ols", "fgls"):
+        key = f"exponent_{method}"
+        if key in records[0]:
+            for j, truth in enumerate(spec.exponents):
+                cols[f"exp_{j}_{method}"] = ([r[key][j] for r in records], truth)
+    return cols
 
 
 def summarize(records, spec):
     """Per-column mean, sample sd, and root mean squared error against the
-    true parameters (the column set of a simulation summary table)."""
-    m = spec.m
-    true_vals = {}
-    cols = {}
-    for j in range(m):
-        cols[f"tau_{j + 1}"] = [r["tau_hat"][j] for r in records]
-        true_vals[f"tau_{j + 1}"] = spec.tau_stars[j]
-    for j in range(m + 1):
-        cols[f"exp_{j}_ols"] = [r["exponent_ols"][j] for r in records]
-        true_vals[f"exp_{j}_ols"] = spec.exponents[j]
-        if "exponent_fgls" in records[0]:
-            cols[f"exp_{j}_fgls"] = [r["exponent_fgls"][j] for r in records]
-            true_vals[f"exp_{j}_fgls"] = spec.exponents[j]
+    true parameters (the column set of a simulation summary table), keyed
+    in the order of :func:`columns`."""
     summary = {}
-    for name, vals in cols.items():
+    for name, (vals, truth) in columns(records, spec).items():
         arr = np.asarray(vals, dtype=float)
-        truth = true_vals[name]
         summary[name] = {
             "mean": float(arr.mean()),
             "sigma_hat": float(arr.std(ddof=1)),

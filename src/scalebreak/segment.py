@@ -63,7 +63,6 @@ class ChangePointResult:
     g_min: float
     n: int
     delta: float
-    stride: int
     shrunk: tuple | None = None
     v_n: float | None = None
 
@@ -225,7 +224,6 @@ def detect(path, wavelet, grid, constraints, table=None, objective="plain"):
         g_min=g,
         n=n,
         delta=path.delta,
-        stride=int(stride),
     )
 
 

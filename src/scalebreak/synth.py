@@ -62,6 +62,18 @@ def gaussian_draws(rng, size):
     return ndtri(u)
 
 
+def _band(name, band):
+    """(lo, hi) as floats; a band must be two finite numbers with
+    0 < lo < hi."""
+    try:
+        lo, hi = (float(x) for x in band)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be two numbers, got {band!r}") from None
+    if not (math.isfinite(hi) and 0.0 < lo < hi):
+        raise ValidationError(f"{name} needs finite 0 < lo < hi, got {band!r}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class PiecewiseSpec:
     """Parameters of a piecewise process: segment fractions, exponents, scales.
@@ -107,10 +119,7 @@ class PiecewiseSpec:
         if self.family is Family.LOCFRAC:
             if self.freq_band is None:
                 raise ValidationError("locfrac requires freq_band=(f_min, f_max)")
-            fmin, fmax = (float(f) for f in self.freq_band)
-            if not 0.0 < fmin < fmax:
-                raise ValidationError("freq_band must satisfy 0 < f_min < f_max")
-            object.__setattr__(self, "freq_band", (fmin, fmax))
+            object.__setattr__(self, "freq_band", _band("freq_band", self.freq_band))
         elif self.freq_band is not None:
             raise ValidationError("freq_band only applies to the locfrac family")
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from scalebreak import PiecewiseSpec, default_params, run_montecarlo
 from scalebreak.cli import main, read_series_csv
 from scalebreak.errors import ValidationError
 
@@ -322,6 +323,37 @@ class TestMonteCarloCmd:
                 if not l.startswith("#") and not l.startswith(("rep", "mean",
                                                                "sigma", "sqrt"))]
         assert len(rows) == 3  # flag overrode the config's reps=2
+
+    def test_fgls_columns_match_run_montecarlo(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        code = run_cli(
+            "montecarlo", "--family", "fgn", "--n", "4096", "--m", "1",
+            "--tau", "0.5", "--exponents", "0.3", "0.7", "--ell", "6",
+            "--reps", "2", "--seed", "21", "--fgls", "--out", out,
+        )
+        assert code == 0
+        header, *rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        assert header == [
+            "rep", "seed", "tau_1", "exp_0_ols", "exp_1_ols", "exp_0_fgls",
+            "exp_1_fgls",
+        ]
+        spec = PiecewiseSpec(family="fgn", tau_stars=(0.5,), exponents=(0.3, 0.7))
+        params = default_params("fgn", 4096, m=1, ell=6)
+        recs = run_montecarlo(spec, 4096, params, reps=2, seed=21, with_fgls=True)
+        for i, (row, rec) in enumerate(zip(rows, recs)):
+            assert row[:2] == [str(i), str(rec["seed"])]
+            assert [float(v) for v in row[2:]] == [
+                *rec["tau_hat"], *rec["exponent_ols"], *rec["exponent_fgls"]
+            ]
+
+    def test_locfrac_zero_delta_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            "montecarlo", "--family", "locfrac", "--n", "16000",
+            "--exponents", "0.6", "--band", "0.3", "1.2", "--delta", "0",
+            "--out", tmp_path / "mc.csv",
+        )
+        assert code == 2
+        assert "delta must be finite and positive" in capsys.readouterr().err
 
     def test_config_hash_embedded_everywhere(self, tmp_path):
         out = tmp_path / "mc.csv"

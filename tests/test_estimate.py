@@ -271,10 +271,6 @@ class TestGammaLocfrac:
         g = gamma_locfrac(1.4, self.GRID, WBL)
         assert np.all(np.isfinite(g)) and np.all(np.diag(g) > 0)
 
-    def test_band_condition(self):
-        with pytest.raises(ValidationError):
-            gamma_locfrac(0.6, self.GRID, WBL, freq_band=(1.0, 1.2))
-
     def test_band_above_pi_rejected(self):
         # Past pi the Hermitian extension folds onto itself.  The band is
         # all the check reads, so a stand-in spares building the wavelet.

@@ -11,6 +11,7 @@ from scalebreak import (
     simulate_piecewise,
     summarize,
 )
+from scalebreak.pipeline import columns
 
 
 class TestDefaultParams:
@@ -69,7 +70,8 @@ class TestDefaultParams:
             assert mu / (r * delta) <= 1.2 + 1e-9
 
     def test_locfrac_band_condition(self):
-        with pytest.raises(ValidationError):
+        # The one home of the rule mu/lam < fmax/fmin.
+        with pytest.raises(ValidationError, match="too wide"):
             default_params(
                 "locfrac", 8000, delta=0.25, freq_band=(0.5, 0.6),
                 wavelet_band=(2.0, 3.0),
@@ -79,11 +81,23 @@ class TestDefaultParams:
         "band", [(0.3,), 0.3, (0.3, 1.2, 2.0), (0.3, "x"), (0.3, float("nan")),
                  (0.3, float("inf")), (0.0, 1.2), (1.2, 0.3)],
     )
-    @pytest.mark.parametrize("key", ["freq_band", "wavelet_band"])
+    @pytest.mark.parametrize("key", ["freq_band", "wavelet_band", "spec"])
     def test_malformed_band_rejected(self, key, band):
+        # PiecewiseSpec validates its freq_band as default_params does.
+        if key == "spec":
+            with pytest.raises(ValidationError, match="freq_band"):
+                PiecewiseSpec(family="locfrac", exponents=(0.6,), freq_band=band)
+            return
         kwargs = {"freq_band": (0.3, 1.2), key: band}
         with pytest.raises(ValidationError, match=key):
             default_params("locfrac", 16000, m=1, delta=0.25, **kwargs)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.25, float("nan"), float("inf")])
+    @pytest.mark.parametrize("family", ["fgn", "locfrac"])
+    def test_delta_must_be_finite_and_positive(self, family, delta):
+        band = (0.3, 1.2) if family == "locfrac" else None
+        with pytest.raises(ValidationError, match="delta must be finite"):
+            default_params(family, 16000, m=1, delta=delta, freq_band=band)
 
     def test_trend_safe_detection_scales(self):
         p = default_params("fgn", 20000, ell=30, min_det_scale=20)
@@ -131,6 +145,13 @@ class TestAnalyze:
         # Within the 1e-9 relative tolerance of a CSV time column.
         near = SampledPath(values=path.values, delta=1.0 + 1e-12)
         assert analyze(near, params, with_fgls=False).result.delta == near.delta
+
+    def test_refuses_path_of_another_length(self):
+        spec = PiecewiseSpec(family="fgn", exponents=(0.5,))
+        params = default_params("fgn", 4096, m=0, ell=6)
+        path = simulate_piecewise(spec, 3000, seed=2)
+        with pytest.raises(ValidationError, match="N=3000.*N=4096"):
+            analyze(path, params)
 
     def test_locfrac_pipeline_end_to_end(self):
         spec = PiecewiseSpec(
@@ -186,13 +207,6 @@ class TestMonteCarlo:
         b = run_montecarlo(spec, 4096, params, reps=2, seed=5)
         assert a == b
 
-    def test_parallel_matches_serial(self):
-        spec = PiecewiseSpec(family="fgn", tau_stars=(0.5,), exponents=(0.3, 0.7))
-        params = default_params("fgn", 4096, m=1, ell=6)
-        serial = run_montecarlo(spec, 4096, params, reps=4, seed=9, workers=1)
-        parallel = run_montecarlo(spec, 4096, params, reps=4, seed=9, workers=3)
-        assert serial == parallel
-
     def test_summary_columns(self):
         spec = PiecewiseSpec(family="fgn", tau_stars=(0.5,), exponents=(0.3, 0.7))
         params = default_params("fgn", 4096, m=1, ell=6)
@@ -220,6 +234,26 @@ class TestMonteCarlo:
             assert rec["exponent_fgls"] == tuple(
                 s.exponent_fgls for s in rep.segments
             )
+
+    def test_summary_keys_in_csv_order(self):
+        spec = PiecewiseSpec(family="fgn", tau_stars=(0.5,), exponents=(0.3, 0.7))
+        recs = [
+            {"tau_hat": (0.5 + i,), "exponent_ols": (i, 2 * i),
+             "exponent_fgls": (3 * i, 4 * i)}
+            for i in range(2)
+        ]
+        names = ["tau_1", "exp_0_ols", "exp_1_ols", "exp_0_fgls", "exp_1_fgls"]
+        assert list(columns(recs, spec)) == names
+        assert list(summarize(recs, spec)) == names
+        assert columns(recs, spec)["exp_1_fgls"] == ([0, 4], 0.7)
+        ols_only = [{k: r[k] for k in ("tau_hat", "exponent_ols")} for r in recs]
+        assert list(summarize(ols_only, spec)) == names[:3]
+
+    def test_refuses_n_other_than_params(self):
+        spec = PiecewiseSpec(family="fgn", exponents=(0.5,))
+        params = default_params("fgn", 4096, m=0, ell=6)
+        with pytest.raises(ValidationError, match="n=3000.*N=4096"):
+            run_montecarlo(spec, 3000, params, reps=2, seed=0)
 
     def test_rejects_single_replicate(self):
         spec = PiecewiseSpec(family="fgn", exponents=(0.5,))
