@@ -32,14 +32,20 @@ of nonoverlapping-shift wavelet variances with integer scale ratios
 
 * time-domain form (piecewise self-similar paths, alpha = 2H+1):
 
-    gamma_pq = 2 d / (r_p r_q)^{2H} * sum_k [ W_pq(d k) / W(0) ]^2,
+    gamma_pq = 2 d / (r_p r_q)^{2H} * sum_k [ W_pq(d k) / W_11(0) ]^2,
     W_pq(c)  = int_0^1 int_0^1 psi(t) psi(t') |c + r_p t - r_q t'|^{2H} dt dt'.
+
+  r_p r_q W_pq(c) integrates |c+s|^{2H} against the cross-correlation h
+  of the two dilated wavelets, which depends on neither H nor c.  Each
+  pair's Gauss-Legendre panels and h values are tabulated once per grid,
+  and Gamma(H) evaluates W at a whole block of lags from them.
 
 Both reduce to 2 r sum (corr_m)^2 on the diagonal.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -344,52 +350,96 @@ def gamma_locfrac(hurst, grid, wavelet):
     return _spectral_gamma(2.0 * float(hurst) + 1.0, grid, wavelet)
 
 
-class _SelfSimilarKernel:
-    """W_pq(c) = int int psi(t) psi(t') |c + r_p t - r_q t'|^{2H} dt dt'.
+# Gauss-Legendre nodes per panel of the lag integral and per value of h,
+# nodes per batched h evaluation (temporaries near 1 MB), largest lag block.
+_GL_PANEL, _GL_INNER, _H_CHUNK, _LAG_BLOCK = 64, 16, 1024, 128
+_gauss = functools.cache(np.polynomial.legendre.leggauss)
 
-    Reduced to a single integral of |c+s|^{2H} against the dilated-wavelet
-    cross-correlation h(s), a piecewise polynomial on [-r_q, r_p].  The
-    s-range is split at h's polynomial breakpoints and at the kink of
-    |c+s|^{2H}; each panel is then smooth and Gauss-Legendre converges to
-    machine precision, which matters because the lag decay of W rests on
-    cancellations of order 2q.
+
+def _cross_correlation(wavelet, s, r_p, r_q):
+    """h(s) = int psi(u/r_p) psi((u-s)/r_q) du at the points ``s``."""
+    x, wx = _gauss(_GL_INNER)
+    lo = np.maximum(0.0, s)
+    hi = np.minimum(float(r_p), s + r_q)
+    half = 0.5 * (hi - lo)
+    u = (0.5 * (lo + hi))[:, None] + half[:, None] * x
+    vals = wavelet.evaluate(u / r_p) * wavelet.evaluate((u - s[:, None]) / r_q)
+    return np.where(hi > lo, (vals @ wx) * half, 0.0)
+
+
+def _pair_table(wavelet, r_p, r_q):
+    """Panels (s, h(s), half-width) of r_p r_q W_pq(c) = int h(s) |c+s|^{2H} ds.
+
+    h is a piecewise polynomial with breakpoints -r_q, 0, r_p-r_q and r_p,
+    which cut the panels every lag shares.  A lag c = d k in (-r_p, r_q)
+    puts the kink of |c+s|^{2H} inside one of them, which it splits in two
+    at -c.  Panels stop at every break because the lag decay of W rests on
+    cancellations of order 2q.  Returns (shared, kink_lags, split, halves):
+    per kink lag, the index of the panel it splits and the two halves.
     """
+    d = math.gcd(r_p, r_q)
+    cuts = sorted({-r_q, r_p, min(0, r_p - r_q), max(0, r_p - r_q)})
+    kinks = [c for c in range(1 - r_p, r_q) if c % d == 0 and -c not in cuts]
+    split = np.searchsorted(cuts, [-c for c in kinks]) - 1
+    lo, hi = np.array(list(zip(cuts, cuts[1:])) + [
+        pair for c, j in zip(kinks, split) for pair in ((cuts[j], -c), (-c, cuts[j + 1]))
+    ], dtype=float).T
+    half = 0.5 * (hi - lo)
+    s = (0.5 * (lo + hi))[:, None] + half[:, None] * _gauss(_GL_PANEL)[0]
+    h = np.concatenate([
+        _cross_correlation(wavelet, chunk, r_p, r_q)
+        for chunk in np.array_split(s.ravel(), -(-s.size // _H_CHUNK))
+    ]).reshape(s.shape)
+    n = len(cuts) - 1
+    halves = tuple(a[n:].reshape(len(kinks), 2, *a.shape[1:]) for a in (s, h, half))
+    return (s[:n], h[:n], half[:n]), np.array(kinks, dtype=float), split, halves
 
-    def __init__(self, wavelet, two_h):
-        self.w = wavelet
-        self.two_h = two_h
-        self.u16, self.w16 = np.polynomial.legendre.leggauss(16)
-        self.s64, self.sw64 = np.polynomial.legendre.leggauss(64)
 
-    def _h(self, s, r_p, r_q):
-        """Cross-correlation int g_p(u) g_q(u - s) du at the points ``s``."""
-        lo = np.maximum(0.0, s)
-        hi = np.minimum(float(r_p), s + r_q)
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        u = mid[:, None] + half[:, None] * self.u16[None, :]
-        vals = self.w.evaluate(u / r_p) * self.w.evaluate((u - s[:, None]) / r_q)
-        out = (vals @ self.w16) * half
-        return np.where(hi > lo, out, 0.0)
+@functools.lru_cache(maxsize=1)
+def _fbm_tables(wavelet, ratios):
+    """Pair tables for (1, 1) and every scale pair of ``ratios``, kept for
+    the latest (wavelet, ratios) only.  With d = gcd(r_p, r_q) they hold
+    about 1 KiB per panel: 2 panels on the diagonal, 3 + 2 ((r_p + r_q) / d
+    - 3) above it."""
+    pairs = [(1, 1)] + [(a, b) for i, a in enumerate(ratios) for b in ratios[i:]]
+    return {pair: _pair_table(wavelet, *pair) for pair in pairs}
 
-    def _integrate(self, lo, hi, c, r_p, r_q):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        s = mid + half * self.s64
-        vals = self._h(s, r_p, r_q) * np.abs(c + s) ** self.two_h
-        return half * float(vals @ self.sw64)
 
-    def w_pq(self, c, r_p, r_q):
-        edges = {-float(r_q), float(r_p), min(0.0, float(r_p - r_q)),
-                 max(0.0, float(r_p - r_q))}
-        if -float(r_q) < -c < float(r_p):
-            edges.add(-float(c))
-        cuts = sorted(edges)
-        total = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi > lo:
-                total += self._integrate(lo, hi, c, r_p, r_q)
-        return total / (r_p * r_q)
+def _kernel_w(table, lags, two_h, r_p, r_q):
+    """W_pq at ``lags``, float multiples of gcd(r_p, r_q)."""
+    shared, kink_lags, split, halves = table
+    _, wx = _gauss(_GL_PANEL)
+
+    def panel_sums(panels, c):
+        s, h, half = panels
+        return ((h * np.abs(c[..., None, None] + s) ** two_h) @ wx) * half
+
+    terms = panel_sums(shared, lags)
+    hit = np.flatnonzero(np.isin(lags, kink_lags))
+    if hit.size:
+        rows = np.searchsorted(kink_lags, lags[hit])
+        terms[hit, split[rows]] = panel_sums([a[rows] for a in halves], lags[hit]).sum(-1)
+    return terms.sum(-1) / (r_p * r_q)
+
+
+def _gamma_entry(table, two_h, w0, r_p, r_q):
+    """gamma_pq = 2 d / (r_p r_q)^{2H} sum_k [W_pq(d k) / w0]^2, the lags
+    taken in growing blocks.  The running total is taken in lag order and
+    stops at the first k >= 8 (W can cross zero early) whose two terms add
+    less than _LAG_RTOL of it, as a serial loop would."""
+    d = math.gcd(r_p, r_q)
+    total = (_kernel_w(table, np.zeros(1), two_h, r_p, r_q)[0] / w0) ** 2
+    k0, size = 1, 16
+    while k0 <= _MAX_LAG_TERMS:
+        k = np.arange(k0, min(k0 + size, _MAX_LAG_TERMS + 1), dtype=float)
+        w = _kernel_w(table, d * np.concatenate([k, -k]), two_h, r_p, r_q) / w0
+        inc = w[: k.size] ** 2 + w[k.size :] ** 2
+        run = np.cumsum(np.concatenate([[total], inc]))[1:]
+        done = np.flatnonzero((k >= 8) & (inc < _LAG_RTOL * run))
+        if done.size:
+            return 2.0 * d / (r_p * r_q) ** two_h * float(run[done[0]])
+        total, k0, size = run[-1], k0 + k.size, min(2 * size, _LAG_BLOCK)
+    raise NumericError(f"lag sum for scale pair ({r_p}, {r_q}) did not converge")
 
 
 def gamma_fbm(hurst, grid, wavelet):
@@ -402,35 +452,20 @@ def gamma_fbm(hurst, grid, wavelet):
         raise ValidationError(
             "self-similar covariance needs a compact wavelet with q >= 2"
         )
-    kern = _SelfSimilarKernel(wavelet, 2.0 * float(hurst))
-    w0 = kern.w_pq(0.0, 1, 1)
+    two_h = 2.0 * float(hurst)
+    ratios = grid.ratios
+    tables = _fbm_tables(wavelet, ratios)
+    w0 = _kernel_w(tables[1, 1], np.zeros(1), two_h, 1, 1)[0]
     # Sign audit: the double integral against |t-t'|^{2H} is negative, and
     # the power-law prefactor of the variance is -w0/2 > 0.
     if not w0 < 0.0:
         raise NumericError("unit-scale kernel lost its sign; quadrature failure")
-    ratios = grid.ratios
     ell = len(ratios)
     gam = np.empty((ell, ell))
     for p in range(ell):
         for q in range(p, ell):
             r_p, r_q = ratios[p], ratios[q]
-            d = math.gcd(r_p, r_q)
-            total = (kern.w_pq(0.0, r_p, r_q) / w0) ** 2
-            for k in range(1, _MAX_LAG_TERMS + 1):
-                inc = (kern.w_pq(float(d * k), r_p, r_q) / w0) ** 2 + (
-                    kern.w_pq(-float(d * k), r_p, r_q) / w0
-                ) ** 2
-                total += inc
-                # k >= 8 before trusting the tail: W can cross zero early.
-                if k >= 8 and inc < _LAG_RTOL * total:
-                    break
-            else:
-                raise NumericError(
-                    f"lag sum for scale pair ({r_p}, {r_q}) did not converge"
-                )
-            val = 2.0 * d / (r_p * r_q) ** (2.0 * hurst) * total
-            gam[p, q] = val
-            gam[q, p] = val
+            gam[p, q] = gam[q, p] = _gamma_entry(tables[r_p, r_q], two_h, w0, r_p, r_q)
     return gam
 
 

@@ -27,7 +27,7 @@ from .estimate import (
 )
 from .scalogram import ScaleGrid, ScalogramTable, design_matrix
 from .segment import SegmentationConstraints, detect, shrink
-from .synth import Family, _band, simulate_piecewise
+from .synth import Family, _band, _number, _step, simulate_piecewise
 from .wavelet import make_band_limited, make_compact_poly
 
 __all__ = [
@@ -125,16 +125,25 @@ def default_params(
     regime).
     """
     family = Family(family)
-    n = int(n)
+    n = _number("n", n, int)
+    m = _number("m", m, int)
+    ell = _number("ell", ell, int)
+    q = _number("q", q, int)
+    min_len = _number("min_len", min_len, int)
+    stride = _number("stride", stride, int)
+    min_det_scale = _number("min_det_scale", min_det_scale, int)
+    # ScaleGrid refuses a non-integer base, so a_base stays a float here.
+    a_base = _number("a_base", a_base)
+    kappa = _number("kappa", kappa)
+    v_n = _number("v_n", v_n)
+    trim = _number("trim", trim)
+    exponent_spread = _number("exponent_spread", exponent_spread)
+    delta = _step(delta)
     notes = []
     if profile not in ("tuned", "classic"):
         raise ValidationError("profile must be 'tuned' or 'classic'")
-    delta = float(delta)
-    if not 0.0 < delta < math.inf:
-        raise ValidationError(f"delta must be finite and positive, got {delta}")
     if ell is None:
         ell = max(3, round(0.0015 * n))
-    ell = int(ell)
     if ell < 3:
         raise ValidationError("need at least 3 scales")
     if family in (Family.FGN, Family.FARIMA):
@@ -143,9 +152,9 @@ def default_params(
         a = a_base if a_base else max(2, round(n ** (0.2 + kappa)))
         wavelet = make_compact_poly(q)
         grid = ScaleGrid(a, tuple(range(1, ell + 1)), trim=0.0)
-        v = float(v_n) if v_n else n ** (0.4 - 3.0 * kappa)
+        v = v_n if v_n else n ** (0.4 - 3.0 * kappa)
         if family is Family.FGN or min_det_scale:
-            det_grid = _stationary_det_grid(ell, int(min_det_scale or 2))
+            det_grid = _stationary_det_grid(ell, min_det_scale or 2)
         else:
             # FARIMA spectra have matched low-frequency intercepts, which
             # makes the variance-anchored small-scale grid misleading; a
@@ -170,7 +179,7 @@ def default_params(
             if spread is not None:
                 notes.append("exponent spread >= 1/2: outside the convergence regime")
             v_exp = 1.0 / 3.0
-        v = float(v_n) if v_n else n ** max(v_exp, 0.05)
+        v = v_n if v_n else n ** max(v_exp, 0.05)
         det_grid = _dense_det_grid(20, round(n / 20))
     elif family is Family.LOCFRAC:
         if freq_band is None:
@@ -197,7 +206,7 @@ def default_params(
         if len(set(ratios)) != ell:
             raise ValidationError("scale grid collapsed; reduce ell")
         a = a_base if a_base else 1
-        v = float(v_n) if v_n else n ** (0.5 - kappa)
+        v = v_n if v_n else n ** (0.5 - kappa)
         grid = ScaleGrid(a, ratios, trim=trim)
         det_grid = grid
     else:  # pragma: no cover
@@ -215,7 +224,7 @@ def default_params(
         else:
             stride = max(1, round(n / 4000))
     constraints = SegmentationConstraints(
-        m=int(m), min_len=int(min_len), candidate_stride=int(stride)
+        m=m, min_len=min_len, candidate_stride=stride
     )
     return RunParams(
         family=family,

@@ -62,6 +62,22 @@ def gaussian_draws(rng, size):
     return ndtri(u)
 
 
+def _number(name, value, kind=float):
+    """``value`` as ``kind``, None kept; otherwise ValidationError naming ``name``."""
+    try:
+        return None if value is None else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+
+
+def _step(delta):
+    """The sampling step: a finite, positive float."""
+    delta = _number("delta", delta)
+    if not 0.0 < delta < math.inf:
+        raise ValidationError(f"delta must be finite and positive, got {delta}")
+    return delta
+
+
 def _band(name, band):
     """(lo, hi) as floats; a band must be two finite numbers with
     0 < lo < hi."""
@@ -296,7 +312,7 @@ def simulate_piecewise(spec, n, delta=1.0, seed=None):
     """
     spec = spec if isinstance(spec, PiecewiseSpec) else PiecewiseSpec(**spec)
     n = int(n)
-    delta = float(delta)
+    delta = _step(delta)
     if spec.family in UNIT_STEP_FAMILIES and delta != 1.0:
         raise ValidationError(f"family {spec.family.value} is sampled at delta = 1")
     bounds = segment_bounds(n, spec.tau_stars)

@@ -45,6 +45,14 @@ class TestSimulate:
         assert run_cli("simulate", "--family", "fgn") == 2
         assert "missing required" in capsys.readouterr().err
 
+    def test_zero_delta_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--family", "locfrac", "--n", "4000", "--exponents", "0.6",
+            "--band", "0.3", "1.2", "--delta", "0", "--out", tmp_path / "path.csv",
+        )
+        assert code == 2
+        assert "delta must be finite and positive" in capsys.readouterr().err
+
 
 class TestDetect:
     def test_round_trip_with_simulate(self, tmp_path):
@@ -270,6 +278,22 @@ class TestDetect:
         )
         assert code == 2
         assert "freq_band must be two numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect", "montecarlo"])
+    def test_config_non_numeric_value_exits_2(self, tmp_path, capsys, command):
+        series = tmp_path / "series.csv"
+        series.write_text("\n".join(["0.0"] * 4001))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": "fgn", "n": 4000, "m": 1, "tau": [0.5],
+            "exponents": [0.3, 0.7], "ell": "abc", "reps": 2, "seed": 1,
+        }))
+        files = ["--input", series] if command == "detect" else []
+        code = run_cli(
+            command, "--config", cfg, *files, "--out", tmp_path / "out"
+        )
+        assert code == 2
+        assert "ell must be a number, got 'abc'" in capsys.readouterr().err
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "res.json"

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import scalebreak.estimate as estimate
-from oracles import spectral_gamma
+from oracles import fbm_gamma, spectral_gamma
 from scalebreak import (
     NumericError,
     ScaleGrid,
@@ -221,10 +221,10 @@ class TestGammaFbm:
 
     def test_kernel_against_dblquad(self):
         from scipy.integrate import dblquad
-        from scalebreak.estimate import _SelfSimilarKernel
 
-        kern = _SelfSimilarKernel(W3, 1.2)
-        for rp, rq, c in [(1, 1, 0.0), (2, 3, 1.0)]:
+        # (2, 3) at lag 1 carries its own kink panels; (2, 4) at lag -6 is
+        # a lag d k = 2 * -3 on the shared ones.
+        for rp, rq, c in [(1, 1, 0.0), (2, 3, 1.0), (2, 4, -6.0)]:
             oracle = dblquad(
                 lambda t, tp: float(
                     W3.evaluate(np.asarray(t))
@@ -233,7 +233,65 @@ class TestGammaFbm:
                 ),
                 0, 1, 0, 1, epsabs=1e-12, epsrel=1e-10,
             )[0]
-            assert kern.w_pq(c, rp, rq) == pytest.approx(oracle, rel=1e-6)
+            table = estimate._pair_table(W3, rp, rq)
+            got = estimate._kernel_w(table, np.array([c]), 1.2, rp, rq)[0]
+            assert got == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("hurst", [0.01, 0.3, 0.5, 0.7, 0.99])
+    @pytest.mark.parametrize("ratios", [(1, 2, 3, 4, 6), (2, 3, 4)])
+    def test_matches_serial_oracle(self, q, hurst, ratios):
+        wavelet = make_compact_poly(q)
+        grid = ScaleGrid(8, ratios)
+        if q == 6 and hurst == 0.99 and 6 in ratios:
+            # Both lag sums stall above _LAG_RTOL for (1, 6).
+            for gamma in (gamma_fbm, fbm_gamma):
+                with pytest.raises(NumericError, match=r"scale pair \(1, 6\)"):
+                    gamma(hurst, grid, wavelet)
+            return
+        g = gamma_fbm(hurst, grid, wavelet)
+        ref = fbm_gamma(hurst, grid, wavelet)
+        # At q = 2, H = 0.99 every W is a near-cancellation (it vanishes
+        # at H = 1): listing the oracle's Gauss nodes in reverse order
+        # moves it by 4.5e-13 of max|Gamma|.
+        tol = 1e-12 if (q, hurst) == (2, 0.99) else 1e-13
+        assert np.max(np.abs(g - ref)) <= tol * np.max(np.abs(ref))
+
+    def test_tables_serve_every_hurst_and_one_grid(self):
+        import gc
+        import weakref
+
+        gamma_fbm(0.3, ScaleGrid(8, (1, 2, 3)), W3)
+        tables = estimate._fbm_tables(W3, (1, 2, 3))
+        gamma_fbm(0.8, ScaleGrid(4, (1, 2, 3)), W3)
+        assert estimate._fbm_tables(W3, (1, 2, 3)) is tables  # H and base: no rebuild
+        first = weakref.ref(tables[2, 3][0][1])
+        del tables
+        gamma_fbm(0.3, ScaleGrid(8, (2, 3, 5)), W3)
+        gc.collect()
+        assert first() is None
+
+    def test_peak_memory_is_the_tables(self):
+        import tracemalloc
+
+        # About 1 KiB per panel (s and h at 64 nodes, and a half-width):
+        # 2 panels on the diagonal, 3 + 2 ((r_p + r_q) / d - 3) above it.
+        ratios = tuple(range(1, 13))
+        panels = sum(
+            2 if a == b else 3 + 2 * ((a + b) // math.gcd(a, b) - 3)
+            for i, a in enumerate(ratios) for b in ratios[i:]
+        )
+        table_bytes = panels * (2 * estimate._GL_PANEL + 1) * 8
+        estimate._fbm_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            gamma_fbm(0.7, ScaleGrid(8, ratios), W3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The rest is the ~1 MB of a batched h evaluation, a lag block and
+        # the array headers.
+        assert table_bytes < peak < table_bytes + (2 << 20)
 
     def test_requires_compact_wavelet(self):
         grid = ScaleGrid(8, (1, 2, 3))

@@ -190,6 +190,12 @@ class TestSimulatePiecewise:
         with pytest.raises(ValidationError):
             simulate_piecewise(spec, 100, delta=0.5, seed=0)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.25, math.nan, math.inf, "abc"])
+    def test_step_must_be_finite_and_positive(self, delta):
+        spec = PiecewiseSpec(family="locfrac", exponents=(0.6,), freq_band=(0.3, 1.2))
+        with pytest.raises(ValidationError, match="delta"):
+            simulate_piecewise(spec, 400, delta=delta, seed=0)
+
     def test_too_short_segment_rejected(self):
         spec = PiecewiseSpec(family="fgn", tau_stars=(0.001,), exponents=(0.2, 0.8))
         with pytest.raises(ValidationError):
