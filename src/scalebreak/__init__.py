@@ -43,7 +43,6 @@ from .segment import (
     ChangePointResult,
     SegmentationConstraints,
     detect,
-    shrink,
 )
 from .synth import (
     Family,

@@ -198,14 +198,14 @@ def cmd_detect(cfg):
         "config_hash": chash,
         "seed": cfg.get("seed"),
         "n": res.n,
-        "delta": res.delta,
+        "delta": path.delta,
         "m": res.m,
         "k_hat": list(res.k_hat),
         "tau_hat": list(res.tau_hat),
         "g_min": res.g_min,
         "margin": report.margin,
         "margin_clamped": report.margin_clamped,
-        "v_n": res.v_n,
+        "v_n": res.n / report.margin if report.margin else float("inf"),
         "quadrature": dict(QUADRATURE_META),
         "segments": [_segment_dict(f, cfg.get("ci_level", 0.95)) for f in report.segments],
     }

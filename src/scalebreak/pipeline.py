@@ -1,4 +1,4 @@
-"""End-to-end analysis: detection, margin shrinking, per-segment fits.
+"""End-to-end analysis: detection, estimation windows, per-segment fits.
 
 Detection and estimation use separate scale grids.  Estimation follows the
 a_N = N^(exponent + kappa) schedules of the convergence results, which the
@@ -26,7 +26,7 @@ from .estimate import (
     ols_theta,
 )
 from .scalogram import ScaleGrid, ScalogramTable, design_matrix
-from .segment import SegmentationConstraints, detect, shrink
+from .segment import SegmentationConstraints, detect
 from .synth import Family, _band, _number, _step, simulate_piecewise
 from .wavelet import make_band_limited, make_compact_poly
 
@@ -136,6 +136,8 @@ def default_params(
     a_base = _number("a_base", a_base)
     kappa = _number("kappa", kappa)
     v_n = _number("v_n", v_n)
+    if v_n is not None and not v_n > 0.0:
+        raise ValidationError(f"v_n must be positive (inf for no margin), got {v_n}")
     trim = _number("trim", trim)
     exponent_spread = _number("exponent_spread", exponent_spread)
     delta = _step(delta)
@@ -149,10 +151,10 @@ def default_params(
     if family in (Family.FGN, Family.FARIMA):
         if not 0.0 < kappa < 2.0 / 15.0:
             raise ValidationError("kappa must lie in (0, 2/15) for long-memory runs")
-        a = a_base if a_base else max(2, round(n ** (0.2 + kappa)))
+        a = a_base if a_base is not None else max(2, round(n ** (0.2 + kappa)))
         wavelet = make_compact_poly(q)
         grid = ScaleGrid(a, tuple(range(1, ell + 1)), trim=0.0)
-        v = v_n if v_n else n ** (0.4 - 3.0 * kappa)
+        v = v_n if v_n is not None else n ** (0.4 - 3.0 * kappa)
         if family is Family.FGN or min_det_scale:
             det_grid = _stationary_det_grid(ell, min_det_scale or 2)
         else:
@@ -163,7 +165,7 @@ def default_params(
     elif family is Family.FBM:
         if not 0.0 < kappa < 2.0 / 3.0:
             raise ValidationError("kappa must lie in (0, 2/3) for self-similar runs")
-        a = a_base if a_base else max(2, round(n ** (1.0 / 3.0 + kappa)))
+        a = a_base if a_base is not None else max(2, round(n ** (1.0 / 3.0 + kappa)))
         wavelet = make_compact_poly(q)
         grid = ScaleGrid(a, tuple(range(1, ell + 1)), trim=0.0)
         spread = exponent_spread
@@ -179,7 +181,7 @@ def default_params(
             if spread is not None:
                 notes.append("exponent spread >= 1/2: outside the convergence regime")
             v_exp = 1.0 / 3.0
-        v = v_n if v_n else n ** max(v_exp, 0.05)
+        v = v_n if v_n is not None else n ** max(v_exp, 0.05)
         det_grid = _dense_det_grid(20, round(n / 20))
     elif family is Family.LOCFRAC:
         if freq_band is None:
@@ -205,8 +207,8 @@ def default_params(
         ratios = tuple(int(round(x)) for x in np.linspace(r_lo, r_hi, ell))
         if len(set(ratios)) != ell:
             raise ValidationError("scale grid collapsed; reduce ell")
-        a = a_base if a_base else 1
-        v = v_n if v_n else n ** (0.5 - kappa)
+        a = a_base if a_base is not None else 1
+        v = v_n if v_n is not None else n ** (0.5 - kappa)
         grid = ScaleGrid(a, ratios, trim=trim)
         det_grid = grid
     else:  # pragma: no cover
@@ -215,9 +217,8 @@ def default_params(
     if profile == "classic":
         det_grid, det_objective = grid, "plain"
     det_top = det_grid.base * det_grid.ratios[-1]
-    est_top = grid.base * grid.ratios[-1]
     if min_len is None:
-        min_len = int(max(4 * det_top, 2 * est_top, 0.05 * n))
+        min_len = int(max(4 * det_top, _keep(grid), 0.05 * n))
     if stride is None:
         if det_grid.base >= 4:
             stride = int(det_grid.base)
@@ -242,7 +243,7 @@ def default_params(
 
 @dataclass(frozen=True)
 class SegmentFit:
-    """Per-segment estimates over the shrunk window [k_lo, k_hi); ``logvar``
+    """Per-segment estimates over the estimation window [k_lo, k_hi); ``logvar``
     holds log S at each scale of the estimation grid."""
 
     k_lo: int
@@ -264,20 +265,40 @@ class DetectionReport:
     margin_clamped: bool = False
 
 
-def _clamped_margin(result, v_n):
-    """Margin N/v_n capped at a quarter of the smallest estimated segment."""
-    bounds = [0, *result.k_hat, result.n]
+def _keep(grid):
+    """Fewest samples a window needs for 2 shifts at every scale of ``grid``
+    after trim; the +2 covers the rounding of the window bounds."""
+    return math.ceil(2 * grid.base * grid.ratios[-1] / (1.0 - 2.0 * grid.trim)) + 2
+
+
+def _windows(k_hat, n, v_n, keep):
+    """Estimation windows: each detected segment with both ends moved inward
+    by the margin N/v_n, so that the windows fall inside the true segments
+    with probability tending to one.  The margin is capped at a quarter of
+    the shortest segment and so that every window keeps ``keep`` samples;
+    ``clamped`` says that a cap bound."""
+    bounds = [0, *k_hat, n]
     min_seg = min(b - a for a, b in zip(bounds, bounds[1:]))
-    margin = result.n / v_n
-    if margin >= 0.25 * min_seg:
-        return 0.25 * min_seg, True
-    return margin, False
+    if min_seg < keep:
+        raise ValidationError(
+            f"min_len admits a {min_seg}-sample segment; a window needs {keep}"
+        )
+    cap = min(0.25 * min_seg, 0.5 * (min_seg - keep))
+    margin = min(n / v_n, cap)
+    # epsilon guards keep the v_n -> infinity limit at the full segment
+    windows = [
+        (math.ceil(lo + margin - 1e-9), math.floor(hi - margin + 1e-9))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    return windows, margin, cap <= n / v_n
 
 
 def analyze(path, params, with_fgls=True, ci_level=0.95):
     """Detect the change instants, shrink the estimation windows, and fit
     every segment (OLS always; FGLS and the goodness-of-fit test when the
     plug-in covariance is available)."""
+    if not 0.0 <= ci_level < 1.0:
+        raise ValidationError("confidence level must lie in [0, 1)")
     if path.n != params.n:
         raise ValidationError(
             f"path has N={path.n} steps but the parameters were chosen for "
@@ -296,13 +317,14 @@ def analyze(path, params, with_fgls=True, ci_level=0.95):
         params.constraints,
         objective=params.det_objective,
     )
-    margin, clamped = _clamped_margin(result, params.v_n)
-    result = shrink(result, result.n / margin)
+    windows, margin, clamped = _windows(
+        result.k_hat, result.n, params.v_n, _keep(params.grid)
+    )
     table = ScalogramTable(path, params.wavelet, params.grid)
     design = design_matrix(params.grid)
     gamma_fn = make_gamma(params.family, params.grid, params.wavelet)
     fits = []
-    for k_lo, k_hi in result.shrunk:
+    for k_lo, k_hi in windows:
         y = table.log_variance_vector(k_lo, k_hi)
         n_eff = (k_hi - k_lo) / params.grid.base
         theta_ols = ols_theta(y, design, n_eff=n_eff)

@@ -20,7 +20,7 @@ lexicographically smallest instant vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "SegmentationConstraints",
     "ChangePointResult",
     "detect",
-    "shrink",
 ]
 
 
@@ -55,16 +54,12 @@ class SegmentationConstraints:
 
 @dataclass(frozen=True)
 class ChangePointResult:
-    """Estimated change instants (sample indices), fractions, contrast value
-    and, after :func:`shrink`, the margin-shrunk estimation windows."""
+    """Estimated change instants (sample indices), fractions and contrast value."""
 
     k_hat: tuple
     tau_hat: tuple
     g_min: float
     n: int
-    delta: float
-    shrunk: tuple | None = None
-    v_n: float | None = None
 
     @property
     def m(self):
@@ -223,26 +218,5 @@ def detect(path, wavelet, grid, constraints, table=None, objective="plain"):
         tau_hat=tuple(k / n for k in k_hat),
         g_min=g,
         n=n,
-        delta=path.delta,
     )
 
-
-def shrink(result, v_n):
-    """Move every estimated boundary inward by N/v_n samples, so that the
-    estimation windows fall inside the true segments with probability
-    tending to one.  Fails if a margin swallows its segment."""
-    if not v_n > 0.0:
-        raise ValidationError("v_n must be positive")
-    margin = result.n / v_n
-    bounds = [0, *result.k_hat, result.n]
-    intervals = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        # epsilon guards keep the v_n -> infinity limit at the full segment
-        t_lo = int(math.ceil(lo + margin - 1e-9))
-        t_hi = int(math.floor(hi - margin + 1e-9))
-        if t_lo >= t_hi:
-            raise ValidationError(
-                f"margins swallow segment [{lo}, {hi}): margin {margin:.1f}"
-            )
-        intervals.append((t_lo, t_hi))
-    return replace(result, shrunk=tuple(intervals), v_n=float(v_n))

@@ -255,20 +255,13 @@ def _locfrac_inv_rho_sq(xi, H, sigma, fmin, fmax):
     """1/rho^2 on the synthesis grid: in-band power law, Gaussian-tapered
     continuation of the boundary value outside the band (keeps the
     integrability condition while leaving in-band statistics untouched)."""
-    out = np.empty_like(xi)
-    band = (xi >= fmin) & (xi <= fmax)
-    out[band] = sigma ** 2 * xi[band] ** (-(2.0 * H + 1.0))
-    lo = xi < fmin
-    w_lo = 0.5 * fmin
-    out[lo] = sigma ** 2 * fmin ** (-(2.0 * H + 1.0)) * np.exp(
-        -(((xi[lo] - fmin) / w_lo) ** 2)
-    )
-    hi = xi > fmax
-    w_hi = 0.5 * fmax
-    out[hi] = sigma ** 2 * fmax ** (-(2.0 * H + 1.0)) * np.exp(
-        -(((xi[hi] - fmax) / w_hi) ** 2)
-    )
-    return out
+    # c is xi inside the band and the nearest band edge outside it, where the
+    # taper's width is half the edge.  The edges' powers stay scalars: numpy's
+    # array power can differ from the scalar one in the last bit.
+    p = -(2.0 * H + 1.0)
+    c = np.clip(xi, fmin, fmax)
+    power = np.where(xi < fmin, fmin**p, np.where(xi > fmax, fmax**p, xi**p))
+    return sigma**2 * power * np.exp(-(((xi - c) / (0.5 * c)) ** 2))
 
 
 def _locfrac_segment(n_points, delta, H, sigma, band, rng):

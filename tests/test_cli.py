@@ -237,6 +237,40 @@ class TestDetect:
             hashes.append(chash)
         assert hashes[0] == hashes[1] != hashes[2]
 
+    def test_v_n_is_n_over_margin(self, tmp_path):
+        series = tmp_path / "series.csv"
+        np.savetxt(series, np.random.default_rng(6).normal(size=4097))
+        out = tmp_path / "res.json"
+        # v_n = 2 asks for a margin of 2048; the cap at a quarter of the
+        # segment makes it 1024, so the run used v_n = 4.
+        for v_n, used, clamped in (("2", 4.0, True), ("8", 8.0, False),
+                                   ("inf", float("inf"), False)):
+            assert run_cli(
+                "detect", "--family", "fgn", "--ell", "6", "--v-n", v_n,
+                "--input", series, "--out", out,
+            ) == 0
+            payload = json.loads(out.read_text())
+            assert (payload["v_n"], payload["margin_clamped"]) == (used, clamped)
+            if payload["margin"]:
+                assert payload["v_n"] == payload["n"] / payload["margin"]
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [(("--v-n", "0"), "v_n must be positive"),
+         (("--v-n", "nan"), "v_n must be positive"),
+         (("--ci-level", "1.5"), "confidence level")],
+    )
+    def test_bad_run_option_exits_2(self, tmp_path, capsys, flag, message):
+        series = tmp_path / "series.csv"
+        np.savetxt(series, np.random.default_rng(6).normal(size=4097))
+        out = tmp_path / "res.json"
+        assert run_cli(
+            "detect", "--family", "fgn", "--ell", "6", *flag,
+            "--input", series, "--out", out,
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fbm_kappa_out_of_range_exits_2(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
         np.savetxt(series, np.random.default_rng(6).normal(size=5001))

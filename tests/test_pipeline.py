@@ -99,6 +99,23 @@ class TestDefaultParams:
         with pytest.raises(ValidationError, match="delta must be finite"):
             default_params(family, 16000, m=1, delta=delta, freq_band=band)
 
+    @pytest.mark.parametrize("v_n", [0.0, -5.0, float("nan"), "abc"])
+    def test_v_n_must_be_positive(self, v_n):
+        with pytest.raises(ValidationError, match="v_n must be"):
+            default_params("fgn", 4096, v_n=v_n)
+
+    def test_zero_a_base_is_refused_not_the_default(self):
+        with pytest.raises(ValidationError, match="base scale must be positive"):
+            default_params("fgn", 4096, a_base=0)
+
+    def test_infinite_v_n_means_no_margin(self):
+        spec = PiecewiseSpec(family="fgn", exponents=(0.5,))
+        params = default_params("fgn", 4096, ell=6, v_n=float("inf"))
+        path = simulate_piecewise(spec, 4096, seed=2)
+        rep = analyze(path, params, with_fgls=False)
+        assert (rep.margin, rep.margin_clamped) == (0.0, False)
+        assert (rep.segments[0].k_lo, rep.segments[0].k_hi) == (0, 4096)
+
     def test_trend_safe_detection_scales(self):
         p = default_params("fgn", 20000, ell=30, min_det_scale=20)
         assert p.det_grid.ratios[0] == 20
@@ -144,7 +161,34 @@ class TestAnalyze:
             analyze(SampledPath(values=path.values, delta=0.5), params)
         # Within the 1e-9 relative tolerance of a CSV time column.
         near = SampledPath(values=path.values, delta=1.0 + 1e-12)
-        assert analyze(near, params, with_fgls=False).result.delta == near.delta
+        assert len(analyze(near, params, with_fgls=False).segments) == 1
+
+    @pytest.mark.parametrize("with_fgls", [True, False])
+    @pytest.mark.parametrize("ci_level", [1.5, 1.0, -0.1, float("nan")])
+    def test_bad_ci_level_fails_before_detection(
+        self, monkeypatch, ci_level, with_fgls
+    ):
+        import scalebreak.pipeline as pipeline
+
+        def no_detect(*args, **kwargs):
+            raise AssertionError("detection ran")
+
+        monkeypatch.setattr(pipeline, "detect", no_detect)
+        params = default_params("fgn", 4096, ell=6)
+        path = SampledPath(values=np.zeros(4097))
+        with pytest.raises(ValidationError, match="confidence level"):
+            analyze(path, params, with_fgls=with_fgls, ci_level=ci_level)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_change_near_the_end_is_fitted(self, seed):
+        # A change at tau* = 0.95 puts k_hat at the min_len edge; the margin
+        # cap still leaves the last window 2 shifts at scale 360.
+        spec = PiecewiseSpec(family="fgn", tau_stars=(0.95,), exponents=(0.2, 0.8))
+        params = default_params("fgn", 20000, m=1, ell=30)
+        path = simulate_piecewise(spec, 20000, seed=seed)
+        rep = analyze(path, params, with_fgls=False)
+        assert len(rep.segments) == 2
+        assert all(s.k_hi - s.k_lo >= 720 for s in rep.segments)
 
     def test_refuses_path_of_another_length(self):
         spec = PiecewiseSpec(family="fgn", exponents=(0.5,))

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import contrast, segment_cost
@@ -15,15 +15,16 @@ from scalebreak import (
     ScaleGrid,
     SegmentationConstraints,
     ValidationError,
+    default_params,
     design_matrix,
     detect,
     make_band_limited,
     make_compact_poly,
-    shrink,
     simulate_piecewise,
 )
 from scalebreak.scalogram import ScalogramTable
 from scalebreak import segment
+from scalebreak.pipeline import _keep, _windows
 from scalebreak.segment import _pair_costs, cost_matrix
 
 
@@ -298,46 +299,42 @@ class TestReachableBand:
 
 
 class TestShrink:
-    def _result(self, n=1000, k=(400,)):
-        spec = PiecewiseSpec(family="fgn", tau_stars=(0.4,), exponents=(0.2, 0.8))
-        path = simulate_piecewise(spec, n, seed=8)
-        cons = SegmentationConstraints(m=1, min_len=100, candidate_stride=8)
-        return detect(path, W3, GRID, cons)
+    """The estimation windows of :func:`scalebreak.pipeline._windows`."""
 
     def test_huge_v_gives_full_segments(self):
-        res = self._result()
-        out = shrink(res, 1e12)
-        bounds = [0, *res.k_hat, res.n]
-        expected = [
-            (int(math.ceil(a)), int(math.floor(b)))
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
-        assert list(out.shrunk) == expected
+        for v_n in (1e12, math.inf):
+            windows, margin, clamped = _windows((400,), 1000, v_n, keep=50)
+            assert windows == [(0, 400), (400, 1000)]
+            assert margin == 1000 / v_n and not clamped
 
     def test_margin_formula(self):
-        res = self._result()
-        v = 10.0
-        out = shrink(res, v)
-        margin = res.n / v
-        k = res.k_hat[0]
-        assert out.shrunk[0] == (int(math.ceil(margin)), int(math.floor(k - margin)))
-        assert out.shrunk[1] == (
-            int(math.ceil(k + margin)),
-            int(math.floor(res.n - margin)),
-        )
-        assert out.v_n == v
+        k, n, v = 403, 1000, 12.0
+        windows, margin, clamped = _windows((k,), n, v, keep=50)
+        assert margin == n / v and not clamped
+        assert windows == [
+            (math.ceil(margin), math.floor(k - margin)),
+            (math.ceil(k + margin), math.floor(n - margin)),
+        ]
 
     def test_m0_single_interval(self):
-        path = random_path(512, 9)
-        cons = SegmentationConstraints(m=0, min_len=64, candidate_stride=8)
-        res = detect(path, W3, GRID, cons)
-        out = shrink(res, 16.0)
-        assert out.shrunk == ((32, 480),)
+        assert _windows((), 512, 16.0, keep=50) == ([(32, 480)], 32.0, False)
+
+    def test_quarter_segment_cap(self):
+        # The shortest segment, 400 samples, caps the margin N/v_n = 500.
+        windows, margin, clamped = _windows((400,), 1000, 2.0, keep=50)
+        assert (margin, clamped) == (100.0, True)
+        assert windows == [(100, 300), (500, 900)]
+
+    def test_keep_cap(self):
+        # (400 - 300)/2 = 50 is below 400/4, so every window keeps 300.
+        windows, margin, clamped = _windows((400,), 1000, 2.0, keep=300)
+        assert (margin, clamped) == (50.0, True)
+        assert windows[0] == (50, 350)
 
     def test_margin_swallows_segment(self):
-        res = self._result()
-        with pytest.raises(ValidationError):
-            shrink(res, 2.0)
+        # Only a user-set min_len admits a segment shorter than keep.
+        with pytest.raises(ValidationError, match="min_len admits a 400-sample"):
+            _windows((400,), 1000, 10.0, keep=401)
 
     def test_corollary_margin_check(self):
         # kappa = 0.05 long-memory schedule: margin below half the smallest
@@ -346,6 +343,40 @@ class TestShrink:
         v = n ** (0.4 - 3 * kappa)
         margin = n / v
         assert margin < 0.5 * 5000
+
+
+_BAND = {"freq_band": (0.3, 1.2), "delta": 0.25}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["fgn", "farima", "fbm", "locfrac"]),
+    n=st.integers(1000, 40000),
+    ell=st.integers(3, 30),
+    v_n=st.one_of(st.none(), st.floats(1.0, 1e6)),
+    data=st.data(),
+)
+def test_every_admissible_window_has_two_shifts(family, n, ell, v_n, data):
+    # Every segmentation that min_len admits gives windows with at least 2
+    # shifts at every estimation scale after trim: analyze can fit them.
+    extra = _BAND if family == "locfrac" else {}
+    ell = min(ell, 15) if family == "locfrac" else ell
+    params = default_params(family, n, ell=ell, v_n=v_n, **extra)
+    min_len = params.constraints.min_len
+    assume(2 * min_len <= n)
+    m = data.draw(st.integers(1, min(3, n // min_len - 1)))
+    slack = sorted(data.draw(st.lists(
+        st.integers(0, n - (m + 1) * min_len), min_size=m, max_size=m
+    )))
+    k_hat = tuple(min_len * (j + 1) + s for j, s in enumerate(slack))
+    windows, _, _ = _windows(k_hat, n, params.v_n, _keep(params.grid))
+    # A table whose prefix sums count the shifts: log_variance_vector raises
+    # on a window with fewer than 2 shifts at some scale.
+    table = object.__new__(ScalogramTable)
+    table.grid, table.n, table.scales = params.grid, n, params.grid.scales
+    table.sq_prefix = [np.arange(n + 2.0)] * params.grid.ell
+    for k_lo, k_hi in windows:
+        assert np.all(np.isfinite(table.log_variance_vector(k_lo, k_hi)))
 
 
 def test_tau_error_shrinks_in_distribution_as_n_doubles():
@@ -396,4 +427,3 @@ def test_candidate_stride_matches_result_field():
     cons = SegmentationConstraints(m=0, min_len=64, candidate_stride=16)
     res = detect(path, W3, GRID, cons)
     assert res.n == 512
-    assert res.delta == 1.0
