@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .estimate import QUADRATURE_META
 from .pipeline import analyze, columns, default_params, run_montecarlo, summarize
-from .synth import Family, PiecewiseSpec, SampledPath, simulate_piecewise
+from .synth import Family, PiecewiseSpec, SampledPath, _number, simulate_piecewise
 
 __all__ = ["main", "build_parser"]
 
@@ -316,6 +316,10 @@ def build_parser():
 
 
 _DEFAULTS = {"seed": 0, "m": 0, "reps": 10}
+# Numeric options the commands read themselves; default_params converts
+# its own.
+_NUMBERS = {"n": int, "delta": float, "ci_level": float, "reps": int, "seed": int}
+_NUMBER_LISTS = ("tau", "exponents", "sigmas")
 _REQUIRED = {
     "simulate": ("family", "n", "exponents", "out"),
     "detect": ("family", "input", "out"),
@@ -336,6 +340,14 @@ def _merge_config(args):
     missing = [k for k in _REQUIRED[args.command] if not cfg.get(k)]
     if missing:
         raise ValidationError(f"missing required options: {', '.join(missing)}")
+    for key, kind in _NUMBERS.items():
+        if key in cfg:
+            cfg[key] = _number(key, cfg[key], kind)
+    for key in _NUMBER_LISTS:
+        if key in cfg:
+            if not isinstance(cfg[key], list):
+                raise ValidationError(f"{key} must be a list, got {cfg[key]!r}")
+            cfg[key] = [_number(key, v) for v in cfg[key]]
     return cfg
 
 

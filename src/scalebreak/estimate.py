@@ -11,34 +11,39 @@ chi-square with ell-2 degrees of freedom.  The fits take y = log S as a
 plain array and the segment's effective size n_eff = (k'-k)/a from their
 caller.
 
-The Gamma matrices implemented here follow from the covariance structure
-of nonoverlapping-shift wavelet variances with integer scale ratios
-(d = gcd(r_p, r_q), (p, q) = (r_p, r_q) / d coprime):
+Every Gamma is assembled by one function from one pair sum per coprime
+ratio pair (p, q): with d = gcd(r_p, r_q) and (r_p, r_q) = d (p, q),
 
-* spectral form (stationary long-memory series, exponent alpha = D; and
-  band-limited processes, alpha = 2H+1 with spectral exponent D = 2H+1):
+    gamma_{r_p r_q} = d gamma_pq,  gamma_pq = 2 (p q)^(1-D) / (1-2w) * S_pq / N^2,
 
-    gamma_{r_p r_q} = 2 d (p q)^(1-D) / (1-2w) * sum_m [ Re A(m) / J ]^2,
-    A(m) = int_0^inf psi_hat(p eta) conj(psi_hat(q eta)) eta^{-D} e^{i m eta} d eta,
-    J    = int_0^inf |psi_hat(u)|^2 u^{-D} du.
+w the trim fraction of the scale grid (0 for compact wavelets).  The
+routes differ only in S_pq and the normalization N:
 
-  By Parseval the lag sum is (pi/2) int_0^{2 pi} |F|^2 / J^2, with F the
-  2 pi-periodization of A's integrand g extended to eta < 0 as conj(g).
+* spectral form (stationary long-memory series, D the pole exponent;
+  band-limited processes, D = 2H+1):
+
+    S_pq = sum_m [ Re A(m) ]^2,  N = J = int_0^inf |psi_hat(u)|^2 u^{-D} du,
+    A(m) = int_0^inf psi_hat(p eta) conj(psi_hat(q eta)) eta^{-D} e^{i m eta} d eta.
+
+  By Parseval S_pq = (pi/2) int_0^{2 pi} |F|^2, with F the 2 pi-
+  periodization of A's integrand g extended to eta < 0 as conj(g).
   Compact wavelets sample F on the lattice 2 pi n / M (M = 1024) from one
   closed-form psi_hat table, cut where an integration-by-parts bound
   leaves at most 1e-10 of J.  Band-limited wavelets need mu <= pi: g then
-  lies in (0, pi], nothing folds, and the sum is pi int |g|^2 / J^2.
-  w is the trim fraction of the scale grid (0 for compact wavelets);
+  lies in (0, pi], nothing folds, and S_pq = pi int |g|^2.  Substituting
+  u = d eta gives the identity;
 
-* time-domain form (piecewise self-similar paths, alpha = 2H+1):
+* time-domain form (piecewise self-similar paths, D = 2H+1):
 
-    gamma_pq = 2 d / (r_p r_q)^{2H} * sum_k [ W_pq(d k) / W_11(0) ]^2,
-    W_pq(c)  = int_0^1 int_0^1 psi(t) psi(t') |c + r_p t - r_q t'|^{2H} dt dt'.
+    S_pq = sum_k W_pq(k)^2,  N = -W_11(0),
+    W_pq(c) = int_0^1 int_0^1 psi(t) psi(t') |c + p t - q t'|^{2H} dt dt'.
 
-  r_p r_q W_pq(c) integrates |c+s|^{2H} against the cross-correlation h
-  of the two dilated wavelets, which depends on neither H nor c.  Each
-  pair's Gauss-Legendre panels and h values are tabulated once per grid,
-  and Gamma(H) evaluates W at a whole block of lags from them.
+  W_{dp,dq}(d k) = d^{2H} W_pq(k) gives the identity (Bardet 2002 covers
+  the fBm case).  p q W_pq(c) integrates |c+s|^{2H} against the
+  cross-correlation h of the two dilated wavelets, which depends on
+  neither H nor c.  Each coprime pair's Gauss-Legendre panels and h values
+  are tabulated once per grid, and Gamma(H) evaluates W at a whole block
+  of lags from them.
 
 Both reduce to 2 r sum (corr_m)^2 on the diagonal.
 """
@@ -257,12 +262,12 @@ def _effective_cutoff(wavelet, d_exp):
 
 
 def _lattice_sums(wavelet, d_exp):
-    """Unnormalized pair sums of a compact wavelet, and J, on the lattice
-    eta_n = n h, h = 2 pi / M.
+    """S_pq and J of a compact wavelet on the lattice eta_n = n h,
+    h = 2 pi / M.
 
     psi_hat is tabulated once at n h up to the cutoff, so psi_hat(p eta_n)
     is entry p n.  The samples of g at n and of conj(g) at -n fold mod M
-    into F, and the pair sum is (pi/2) h sum_j |F_j|^2.
+    into F, and S_pq = (pi/2) h sum_j |F_j|^2.
     """
     cutoff = _effective_cutoff(wavelet, d_exp)
     _log.debug("spectral gamma: lattice M = %d, cutoff %.6g", _LATTICE, cutoff)
@@ -286,11 +291,8 @@ def _lattice_sums(wavelet, d_exp):
 
 
 def _band_sums(wavelet, d_exp):
-    """Unnormalized pair sums of a band-limited wavelet with mu <= pi, and J.
-
-    The pair's g lives on [lam/p, mu/q], inside (0, pi], so nothing folds
-    and the pair sum is pi int |g|^2, one Simpson integral.
-    """
+    """S_pq and J of a band-limited wavelet with mu <= pi: the pair's g
+    lives on [lam/p, mu/q], and S_pq is one Simpson integral."""
 
     def pair_sum(p, q):
         lo, hi = wavelet.lam / p, wavelet.mu / q
@@ -304,29 +306,29 @@ def _band_sums(wavelet, d_exp):
     return pair_sum, float(np.abs(wavelet.psi_hat(eta)) ** 2 @ (_power(eta, d_exp) * w))
 
 
-def _spectral_gamma(d_exp, grid, wavelet):
-    """Spectral-form Gamma, one pair sum per coprime ratio pair, for the
-    variance statistic trimmed by ``grid.trim``.
+def _reduced(ratios):
+    """Every entry (i, k), i <= k, of a Gamma over ``ratios``, with
+    d = gcd(r_i, r_k) and the coprime pair (p, q) = (r_i, r_k) / d."""
+    for i, a in enumerate(ratios):
+        for k in range(i, len(ratios)):
+            d = math.gcd(a, ratios[k])
+            yield i, k, d, (a // d, ratios[k] // d)
 
-    With d = gcd(r_p, r_q) and (p, q) = (r_p, r_q) / d, substituting
-    u = d eta gives gamma_{r_p r_q} = d gamma_{p q}.
-    """
-    sums = _band_sums if wavelet.is_band_limited else _lattice_sums
-    pair_sum, j_norm = sums(wavelet, d_exp)
-    if not j_norm > 0.0:
+
+def _gamma(d_exp, grid, sums):
+    """The one Gamma assembly (module docstring) at exponent D = ``d_exp``
+    from ``sums`` = (pair_sum, norm), S_pq and N of one route."""
+    pair_sum, norm = sums
+    if not norm > 0.0:
         raise NumericError("normalizing integral vanished")
-    scale = 2.0 / ((1.0 - 2.0 * grid.trim) * j_norm**2)
-    ratios = grid.ratios
-    ell = len(ratios)
+    scale = 2.0 / ((1.0 - 2.0 * grid.trim) * norm**2)
+    ell = len(grid.ratios)
     gam = np.empty((ell, ell))
     coprime = {}
-    for i in range(ell):
-        for k in range(i, ell):
-            d = math.gcd(ratios[i], ratios[k])
-            p, q = ratios[i] // d, ratios[k] // d
-            if (p, q) not in coprime:
-                coprime[p, q] = scale * (p * q) ** (1.0 - d_exp) * pair_sum(p, q)
-            gam[i, k] = gam[k, i] = d * coprime[p, q]
+    for i, k, d, (p, q) in _reduced(grid.ratios):
+        if (p, q) not in coprime:
+            coprime[p, q] = scale * (p * q) ** (1.0 - d_exp) * pair_sum(p, q)
+        gam[i, k] = gam[k, i] = d * coprime[p, q]
     return gam
 
 
@@ -335,7 +337,8 @@ def gamma_lrd(d_exp, grid, wavelet):
     pole exponent ``d_exp`` in (0,1)."""
     if not 0.0 < d_exp < 1.0:
         raise ValidationError("long-memory exponent must lie in (0,1)")
-    return _spectral_gamma(float(d_exp), grid, wavelet)
+    sums = _band_sums if wavelet.is_band_limited else _lattice_sums
+    return _gamma(float(d_exp), grid, sums(wavelet, float(d_exp)))
 
 
 def gamma_locfrac(hurst, grid, wavelet):
@@ -347,7 +350,8 @@ def gamma_locfrac(hurst, grid, wavelet):
         raise ValidationError("band-limited wavelet required")
     if wavelet.mu > math.pi:
         raise ValidationError("wavelet band must end at or below pi")
-    return _spectral_gamma(2.0 * float(hurst) + 1.0, grid, wavelet)
+    d_exp = 2.0 * float(hurst) + 1.0
+    return _gamma(d_exp, grid, _band_sums(wavelet, d_exp))
 
 
 # Gauss-Legendre nodes per panel of the lag integral and per value of h,
@@ -356,30 +360,30 @@ _GL_PANEL, _GL_INNER, _H_CHUNK, _LAG_BLOCK = 64, 16, 1024, 128
 _gauss = functools.cache(np.polynomial.legendre.leggauss)
 
 
-def _cross_correlation(wavelet, s, r_p, r_q):
-    """h(s) = int psi(u/r_p) psi((u-s)/r_q) du at the points ``s``."""
+def _cross_correlation(wavelet, s, p, q):
+    """h(s) = int psi(u/p) psi((u-s)/q) du at the points ``s``."""
     x, wx = _gauss(_GL_INNER)
     lo = np.maximum(0.0, s)
-    hi = np.minimum(float(r_p), s + r_q)
+    hi = np.minimum(float(p), s + q)
     half = 0.5 * (hi - lo)
     u = (0.5 * (lo + hi))[:, None] + half[:, None] * x
-    vals = wavelet.evaluate(u / r_p) * wavelet.evaluate((u - s[:, None]) / r_q)
+    vals = wavelet.evaluate(u / p) * wavelet.evaluate((u - s[:, None]) / q)
     return np.where(hi > lo, (vals @ wx) * half, 0.0)
 
 
-def _pair_table(wavelet, r_p, r_q):
-    """Panels (s, h(s), half-width) of r_p r_q W_pq(c) = int h(s) |c+s|^{2H} ds.
+def _pair_table(wavelet, p, q):
+    """Panels (s, h(s), half-width) of p q W_pq(c) = int h(s) |c+s|^{2H} ds
+    for a coprime pair (p, q).
 
-    h is a piecewise polynomial with breakpoints -r_q, 0, r_p-r_q and r_p,
-    which cut the panels every lag shares.  A lag c = d k in (-r_p, r_q)
-    puts the kink of |c+s|^{2H} inside one of them, which it splits in two
-    at -c.  Panels stop at every break because the lag decay of W rests on
+    h is a piecewise polynomial with breakpoints -q, 0, p-q and p, which
+    cut the panels every lag shares.  An integer lag c in (-p, q) puts the
+    kink of |c+s|^{2H} inside one of them, which it splits in two at -c.
+    Panels stop at every break because the lag decay of W rests on
     cancellations of order 2q.  Returns (shared, kink_lags, split, halves):
     per kink lag, the index of the panel it splits and the two halves.
     """
-    d = math.gcd(r_p, r_q)
-    cuts = sorted({-r_q, r_p, min(0, r_p - r_q), max(0, r_p - r_q)})
-    kinks = [c for c in range(1 - r_p, r_q) if c % d == 0 and -c not in cuts]
+    cuts = sorted({-q, p, min(0, p - q), max(0, p - q)})
+    kinks = [c for c in range(1 - p, q) if -c not in cuts]
     split = np.searchsorted(cuts, [-c for c in kinks]) - 1
     lo, hi = np.array(list(zip(cuts, cuts[1:])) + [
         pair for c, j in zip(kinks, split) for pair in ((cuts[j], -c), (-c, cuts[j + 1]))
@@ -387,7 +391,7 @@ def _pair_table(wavelet, r_p, r_q):
     half = 0.5 * (hi - lo)
     s = (0.5 * (lo + hi))[:, None] + half[:, None] * _gauss(_GL_PANEL)[0]
     h = np.concatenate([
-        _cross_correlation(wavelet, chunk, r_p, r_q)
+        _cross_correlation(wavelet, chunk, p, q)
         for chunk in np.array_split(s.ravel(), -(-s.size // _H_CHUNK))
     ]).reshape(s.shape)
     n = len(cuts) - 1
@@ -397,16 +401,16 @@ def _pair_table(wavelet, r_p, r_q):
 
 @functools.lru_cache(maxsize=1)
 def _fbm_tables(wavelet, ratios):
-    """Pair tables for (1, 1) and every scale pair of ``ratios``, kept for
-    the latest (wavelet, ratios) only.  With d = gcd(r_p, r_q) they hold
-    about 1 KiB per panel: 2 panels on the diagonal, 3 + 2 ((r_p + r_q) / d
-    - 3) above it."""
-    pairs = [(1, 1)] + [(a, b) for i, a in enumerate(ratios) for b in ratios[i:]]
+    """Pair tables for every coprime pair a Gamma over ``ratios`` reduces
+    to, (1, 1) among them, kept for the latest (wavelet, ratios) only.
+    They hold about 1 KiB per panel: 2 panels for (1, 1), 3 + 2 (p + q - 3)
+    for p < q."""
+    pairs = sorted({pair for *_, pair in _reduced(ratios)})
     return {pair: _pair_table(wavelet, *pair) for pair in pairs}
 
 
-def _kernel_w(table, lags, two_h, r_p, r_q):
-    """W_pq at ``lags``, float multiples of gcd(r_p, r_q)."""
+def _kernel_w(table, lags, two_h, p, q):
+    """W_pq at the integer ``lags`` (as floats)."""
     shared, kink_lags, split, halves = table
     _, wx = _gauss(_GL_PANEL)
 
@@ -419,27 +423,34 @@ def _kernel_w(table, lags, two_h, r_p, r_q):
     if hit.size:
         rows = np.searchsorted(kink_lags, lags[hit])
         terms[hit, split[rows]] = panel_sums([a[rows] for a in halves], lags[hit]).sum(-1)
-    return terms.sum(-1) / (r_p * r_q)
+    return terms.sum(-1) / (p * q)
 
 
-def _gamma_entry(table, two_h, w0, r_p, r_q):
-    """gamma_pq = 2 d / (r_p r_q)^{2H} sum_k [W_pq(d k) / w0]^2, the lags
-    taken in growing blocks.  The running total is taken in lag order and
-    stops at the first k >= 8 (W can cross zero early) whose two terms add
-    less than _LAG_RTOL of it, as a serial loop would."""
-    d = math.gcd(r_p, r_q)
-    total = (_kernel_w(table, np.zeros(1), two_h, r_p, r_q)[0] / w0) ** 2
-    k0, size = 1, 16
-    while k0 <= _MAX_LAG_TERMS:
-        k = np.arange(k0, min(k0 + size, _MAX_LAG_TERMS + 1), dtype=float)
-        w = _kernel_w(table, d * np.concatenate([k, -k]), two_h, r_p, r_q) / w0
-        inc = w[: k.size] ** 2 + w[k.size :] ** 2
-        run = np.cumsum(np.concatenate([[total], inc]))[1:]
-        done = np.flatnonzero((k >= 8) & (inc < _LAG_RTOL * run))
-        if done.size:
-            return 2.0 * d / (r_p * r_q) ** two_h * float(run[done[0]])
-        total, k0, size = run[-1], k0 + k.size, min(2 * size, _LAG_BLOCK)
-    raise NumericError(f"lag sum for scale pair ({r_p}, {r_q}) did not converge")
+def _fbm_sums(wavelet, ratios, two_h):
+    """S_pq = sum_k W_pq(k)^2 and N = -W_11(0) > 0 (the integral against
+    |t-t'|^{2H} is negative).  S_pq takes the lags in growing blocks, with
+    the running total in lag order; it stops at the first k >= 8 (W can
+    cross zero early) whose two terms add less than _LAG_RTOL of it."""
+    tables = _fbm_tables(wavelet, ratios)
+
+    def pair_sum(p, q):
+        total = _kernel_w(tables[p, q], np.zeros(1), two_h, p, q)[0] ** 2
+        k0, size = 1, 16
+        while k0 <= _MAX_LAG_TERMS:
+            k = np.arange(k0, min(k0 + size, _MAX_LAG_TERMS + 1), dtype=float)
+            w = _kernel_w(tables[p, q], np.concatenate([k, -k]), two_h, p, q)
+            inc = w[: k.size] ** 2 + w[k.size :] ** 2
+            run = np.cumsum(np.concatenate([[total], inc]))[1:]
+            done = np.flatnonzero((k >= 8) & (inc < _LAG_RTOL * run))
+            if done.size:
+                return float(run[done[0]])
+            total, k0, size = run[-1], k0 + k.size, min(2 * size, _LAG_BLOCK)
+        raise NumericError(
+            f"lag sum for scale pair ({p}, {q}) did not converge; it stands "
+            f"for every pair d*({p}, {q}) of the grid"
+        )
+
+    return pair_sum, -_kernel_w(tables[1, 1], np.zeros(1), two_h, 1, 1)[0]
 
 
 def gamma_fbm(hurst, grid, wavelet):
@@ -453,20 +464,7 @@ def gamma_fbm(hurst, grid, wavelet):
             "self-similar covariance needs a compact wavelet with q >= 2"
         )
     two_h = 2.0 * float(hurst)
-    ratios = grid.ratios
-    tables = _fbm_tables(wavelet, ratios)
-    w0 = _kernel_w(tables[1, 1], np.zeros(1), two_h, 1, 1)[0]
-    # Sign audit: the double integral against |t-t'|^{2H} is negative, and
-    # the power-law prefactor of the variance is -w0/2 > 0.
-    if not w0 < 0.0:
-        raise NumericError("unit-scale kernel lost its sign; quadrature failure")
-    ell = len(ratios)
-    gam = np.empty((ell, ell))
-    for p in range(ell):
-        for q in range(p, ell):
-            r_p, r_q = ratios[p], ratios[q]
-            gam[p, q] = gam[q, p] = _gamma_entry(tables[r_p, r_q], two_h, w0, r_p, r_q)
-    return gam
+    return _gamma(two_h + 1.0, grid, _fbm_sums(wavelet, grid.ratios, two_h))
 
 
 def make_gamma(family, grid, wavelet):

@@ -329,6 +329,48 @@ class TestDetect:
         assert code == 2
         assert "ell must be a number, got 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("detect", "ci_level", "abc", "ci_level must be a number, got 'abc'"),
+        ("detect", "delta", "abc", "delta must be a number, got 'abc'"),
+        ("simulate", "n", "abc", "n must be a number, got 'abc'"),
+        ("montecarlo", "reps", "abc", "reps must be a number, got 'abc'"),
+        ("montecarlo", "seed", "abc", "seed must be a number, got 'abc'"),
+        ("montecarlo", "exponents", ["a", 0.7], "exponents must be a number, got 'a'"),
+        ("montecarlo", "tau", "0.5", "tau must be a list, got '0.5'"),
+        ("montecarlo", "sigmas", [1.0, "a"], "sigmas must be a number, got 'a'"),
+    ])
+    def test_config_non_numeric_run_option_exits_2(
+        self, tmp_path, capsys, command, key, value, message
+    ):
+        series = tmp_path / "series.csv"
+        series.write_text("\n".join(["0.0"] * 4001))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": "fgn", "n": 4000, "m": 1, "tau": [0.5],
+            "exponents": [0.3, 0.7], "ell": 6, "reps": 2, "seed": 1, key: value,
+        }))
+        files = ["--input", series] if command == "detect" else []
+        code = run_cli(
+            command, "--config", cfg, *files, "--out", tmp_path / "out"
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_numeric_strings_read_as_numbers(self, tmp_path):
+        outputs = []
+        for cfg_values in (
+            {"n": 2000, "tau": [0.5], "exponents": [0.3, 0.7], "reps": 2,
+             "seed": 1, "ci_level": 0.9},
+            {"n": "2000", "tau": ["0.5"], "exponents": ["0.3", "0.7"], "reps": "2",
+             "seed": "1", "ci_level": "0.9"},
+        ):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"family": "fgn", "m": 1, "ell": 6, **cfg_values}))
+            out = tmp_path / f"mc{len(outputs)}.csv"
+            assert run_cli("montecarlo", "--config", cfg, "--out", out) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "res.json"
         code = run_cli(

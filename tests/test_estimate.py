@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 from dataclasses import replace
@@ -31,6 +32,11 @@ from scalebreak import (
 
 W3 = make_compact_poly(3)
 WBL = make_band_limited(2.0, 3.0)
+
+
+@functools.cache
+def _fbm_oracle(q, hurst, ratios):
+    return fbm_gamma(hurst, ScaleGrid(8, ratios), make_compact_poly(q))
 
 
 class TestOls:
@@ -134,7 +140,8 @@ class TestBatchedGamma:
     ], ids=["lrd-0.2", "lrd-0.5", "lrd-0.8", "fbm-0.3", "fbm-0.7",
             "band-limited", "gcd", "disjoint"])
     def test_matches_serial_oracle(self, d_exp, grid, wavelet):
-        g = estimate._spectral_gamma(d_exp, grid, wavelet)
+        sums = estimate._band_sums if wavelet.is_band_limited else estimate._lattice_sums
+        g = estimate._gamma(d_exp, grid, sums(wavelet, d_exp))
         ref = spectral_gamma(d_exp, grid, wavelet, grid.trim)
         np.testing.assert_array_equal(g == 0.0, ref == 0.0)
         tol = 1e-8 if wavelet.is_band_limited else 1e-11
@@ -211,9 +218,9 @@ class TestGammaFbm:
         assert np.all(np.diag(g) > 0)
 
     def test_denominator_sign_audit(self):
-        # int int psi psi' |t-t'|^{2H} < 0, so the variance prefactor
-        # -sigma^2/2 * (that integral) is positive; gamma_fbm asserts this
-        # internally -- just exercise it across H.
+        # int int psi psi' |t-t'|^{2H} < 0, so the normalization N = -W_11(0)
+        # is positive; the assembly refuses N <= 0 -- just exercise it
+        # across H.
         grid = ScaleGrid(8, (1, 2, 3))
         for h in (0.2, 0.5, 0.8):
             g = gamma_fbm(h, grid, W3)
@@ -222,9 +229,9 @@ class TestGammaFbm:
     def test_kernel_against_dblquad(self):
         from scipy.integrate import dblquad
 
-        # (2, 3) at lag 1 carries its own kink panels; (2, 4) at lag -6 is
-        # a lag d k = 2 * -3 on the shared ones.
-        for rp, rq, c in [(1, 1, 0.0), (2, 3, 1.0), (2, 4, -6.0)]:
+        # (2, 3) at lag 1 carries its own kink panels.  (2, 4) has no
+        # table: W_24(-6) = 2^{2H} W_12(-3), a lag on (1, 2)'s shared panels.
+        for rp, rq, c, d in [(1, 1, 0.0, 1), (2, 3, 1.0, 1), (2, 4, -6.0, 2)]:
             oracle = dblquad(
                 lambda t, tp: float(
                     W3.evaluate(np.asarray(t))
@@ -233,8 +240,9 @@ class TestGammaFbm:
                 ),
                 0, 1, 0, 1, epsabs=1e-12, epsrel=1e-10,
             )[0]
-            table = estimate._pair_table(W3, rp, rq)
-            got = estimate._kernel_w(table, np.array([c]), 1.2, rp, rq)[0]
+            p, q = rp // d, rq // d
+            table = estimate._pair_table(W3, p, q)
+            got = d**1.2 * estimate._kernel_w(table, np.array([c / d]), 1.2, p, q)[0]
             assert got == pytest.approx(oracle, rel=1e-6)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
@@ -250,12 +258,35 @@ class TestGammaFbm:
                     gamma(hurst, grid, wavelet)
             return
         g = gamma_fbm(hurst, grid, wavelet)
-        ref = fbm_gamma(hurst, grid, wavelet)
-        # At q = 2, H = 0.99 every W is a near-cancellation (it vanishes
-        # at H = 1): listing the oracle's Gauss nodes in reverse order
-        # moves it by 4.5e-13 of max|Gamma|.
+        ref = _fbm_oracle(q, hurst, ratios)
+        # Entries with gcd 1 are computed the same way on both sides.  At
+        # q = 2, H = 0.99 every W is a near-cancellation (it vanishes at
+        # H = 1): listing the oracle's Gauss nodes in reverse order moves
+        # it by 4.5e-13 of max|Gamma|.
+        gcd = np.gcd.outer(ratios, ratios)
         tol = 1e-12 if (q, hurst) == (2, 0.99) else 1e-13
-        assert np.max(np.abs(g - ref)) <= tol * np.max(np.abs(ref))
+        assert np.max(np.abs(g - ref)[gcd == 1]) <= tol * np.max(np.abs(ref))
+        # An entry with gcd d > 1 is exactly d times its coprime entry.
+        full = gamma_fbm(hurst, ScaleGrid(8, tuple(range(1, ratios[-1] + 1))), wavelet)
+        for (i, k), d in np.ndenumerate(gcd):
+            assert g[i, k] == d * full[ratios[i] // d - 1, ratios[k] // d - 1]
+
+    @pytest.mark.parametrize("q, tol", [
+        (2, 1e-11), (3, 1e-13), (4, 5e-12), (5, 3e-11), (6, 3e-10)])
+    @pytest.mark.parametrize("hurst", [0.01, 0.3, 0.5, 0.7, 0.99])
+    def test_serial_oracle_obeys_the_identity(self, q, tol, hurst):
+        # The oracle evaluates every (dp, dq) entry directly, at lags d k
+        # of its own panels; in exact arithmetic that is d times its (p, q)
+        # entry.  Measured worst gaps over H, in max|Gamma|: 2.5e-12 (q = 2,
+        # at H = 0.99 only; 2.4e-15 otherwise), 5.0e-14, 1.9e-12, 1.4e-11 and
+        # 1.0e-10 (q = 6, H = 0.99); they grow with q.  The package's
+        # gcd-1 entries sit within 5.0e-14 of the oracle's.
+        ratios = (1, 2, 3, 4) if (q, hurst) == (6, 0.99) else (1, 2, 3, 4, 6)
+        ref = _fbm_oracle(q, hurst, ratios)
+        at = {r: i for i, r in enumerate(ratios)}
+        for (i, k), d in np.ndenumerate(np.gcd.outer(ratios, ratios)):
+            coprime = ref[at[ratios[i] // d], at[ratios[k] // d]]
+            assert abs(ref[i, k] - d * coprime) <= tol * np.max(np.abs(ref))
 
     def test_tables_serve_every_hurst_and_one_grid(self):
         import gc
@@ -275,11 +306,11 @@ class TestGammaFbm:
         import tracemalloc
 
         # About 1 KiB per panel (s and h at 64 nodes, and a half-width):
-        # 2 panels on the diagonal, 3 + 2 ((r_p + r_q) / d - 3) above it.
+        # 2 panels for (1, 1) and 3 + 2 (p + q - 3) per coprime p < q.
         ratios = tuple(range(1, 13))
-        panels = sum(
-            2 if a == b else 3 + 2 * ((a + b) // math.gcd(a, b) - 3)
-            for i, a in enumerate(ratios) for b in ratios[i:]
+        panels = 2 + sum(
+            3 + 2 * (p + q - 3)
+            for p in ratios for q in ratios if p < q and math.gcd(p, q) == 1
         )
         table_bytes = panels * (2 * estimate._GL_PANEL + 1) * 8
         estimate._fbm_tables.cache_clear()

@@ -4,6 +4,7 @@ import pytest
 from scalebreak import (
     PiecewiseSpec,
     SampledPath,
+    ScalogramTable,
     ValidationError,
     analyze,
     default_params,
@@ -189,6 +190,58 @@ class TestAnalyze:
         rep = analyze(path, params, with_fgls=False)
         assert len(rep.segments) == 2
         assert all(s.k_hi - s.k_lo >= 720 for s in rep.segments)
+
+    @pytest.mark.parametrize("family, kwargs", [
+        ("locfrac", dict(ell=7, delta=0.25, freq_band=(0.3, 1.2))),
+        ("fgn", dict(ell=6, profile="classic")),
+        ("fgn", dict(ell=6)),  # tuned: a detection grid of its own
+    ], ids=["locfrac", "classic", "tuned"])
+    def test_one_table_per_grid(self, monkeypatch, family, kwargs):
+        import scalebreak.pipeline as pipeline
+        import scalebreak.segment as segment
+
+        built = []
+
+        class CountingTable(ScalogramTable):
+            def __init__(self, path, wavelet, grid):
+                built.append(grid)
+                super().__init__(path, wavelet, grid)
+
+        for module in (pipeline, segment):
+            monkeypatch.setattr(module, "ScalogramTable", CountingTable)
+        params = default_params(family, 8000, **kwargs)
+        spec = PiecewiseSpec(
+            family=family, exponents=(0.6,), freq_band=kwargs.get("freq_band")
+        )
+        path = simulate_piecewise(spec, 8000, delta=params.delta, seed=3)
+        analyze(path, params, with_fgls=False)
+        assert sorted(map(repr, built)) == sorted(
+            map(repr, {params.grid, params.det_grid})
+        )
+
+    @pytest.mark.parametrize("family, name, exponents", [
+        ("fbm", "gamma_fbm", (0.3, 0.7)),
+        ("fgn", "gamma_lrd", (0.2, 0.8)),
+    ])
+    def test_gamma_is_looked_up_when_analyze_runs(
+        self, monkeypatch, family, name, exponents
+    ):
+        # The benchmark's tracer counts Gamma calls by wrapping these module
+        # attributes; a route bound before analyze runs would bypass it.
+        import scalebreak.estimate as estimate
+
+        calls = []
+        real = getattr(estimate, name)
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(estimate, name, counted)
+        spec = PiecewiseSpec(family=family, tau_stars=(0.5,), exponents=exponents)
+        params = default_params(family, 5000, m=1, ell=7, exponent_spread=0.4)
+        rep = analyze(simulate_piecewise(spec, 5000, seed=0), params)
+        assert len(calls) == params.constraints.m + 1 == len(rep.segments)
 
     def test_refuses_path_of_another_length(self):
         spec = PiecewiseSpec(family="fgn", exponents=(0.5,))
