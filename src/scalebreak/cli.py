@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import sys
 
@@ -72,40 +73,43 @@ def _exponent_spread(cfg):
 def read_series_csv(path_name, delta=None):
     """One value per line, or two columns (t, x) with uniform spacing.
 
-    The one-column form takes the sampling step ``delta`` (default 1); the
-    two-column form reads it from the time column, and a given ``delta``
-    that disagrees with it is refused.  A non-numeric cell is reported with
-    its row and column.
+    Rows whose first cell starts with '#', blank rows and empty cells are
+    skipped; cells may be quoted and padded with whitespace, and a first
+    row with a non-numeric cell is a header.  The one-column form takes
+    the sampling step ``delta`` (default 1); the two-column form reads it
+    from the time column, and a given ``delta`` that disagrees with it is
+    refused.  A non-numeric cell is reported with its row and column.
     """
-    rows = []
     with open(path_name, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if lineno == 1 and any(_non_numeric(c) for c in row):
-                continue  # header
-            parsed = []
-            for colno, cell in enumerate(row, start=1):
-                cell = cell.strip()
-                if cell == "":
-                    continue
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValidationError(
-                        f"non-numeric value {cell!r} at row {lineno}, column {colno}"
-                    ) from None
-            if parsed:
-                rows.append(parsed)
-    if not rows:
+        rows = list(csv.reader(fh))
+    # Past the tokenizer, every pass over the cells runs in C; Python walks
+    # cells only to name a bad one.
+    width = np.fromiter(map(len, rows), np.intp, len(rows))
+    cells = list(map(str.strip, itertools.chain.from_iterable(rows)))
+    row = np.repeat(np.arange(width.size), width)
+    first = np.cumsum(width) - width
+    skip = np.zeros(width.size, dtype=bool)  # comment rows, then the header
+    skip[width > 0] = np.array(cells, dtype="U1")[first[width > 0]] == "#"
+    if width.size and any(map(_non_numeric, cells[: width[0]])):
+        skip[0] = True
+    keep = np.fromiter(map(bool, cells), bool, len(cells)) & ~skip[row]
+    kept = list(itertools.compress(cells, keep))
+    try:
+        values = np.fromiter(map(float, kept), float, len(kept))
+    except ValueError:
+        bad = next(i for i in np.flatnonzero(keep) if _non_numeric(cells[i]))
+        raise ValidationError(
+            f"non-numeric value {cells[bad]!r} at row {row[bad] + 1}, "
+            f"column {bad - first[row[bad]] + 1}"
+        ) from None
+    count = np.bincount(row[keep], minlength=width.size)
+    widths = set(count[count > 0].tolist())
+    if not widths:
         raise ValidationError("input CSV holds no data rows")
-    widths = {len(r) for r in rows}
     if widths == {1}:
-        values = np.array([r[0] for r in rows])
         return SampledPath(values=values, delta=1.0 if delta is None else float(delta))
     if widths == {2}:
-        t = np.array([r[0] for r in rows])
-        x = np.array([r[1] for r in rows])
+        t, x = values.reshape(-1, 2).T.copy()
         steps = np.diff(t)
         if steps.size == 0 or steps[0] <= 0:
             raise ValidationError("time column must be increasing")

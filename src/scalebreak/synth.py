@@ -63,11 +63,19 @@ def gaussian_draws(rng, size):
 
 
 def _number(name, value, kind=float):
-    """``value`` as ``kind``, None kept; otherwise ValidationError naming ``name``."""
+    """``value`` as ``kind``, None kept; otherwise ValidationError naming
+    ``name``.  A string is read as a float first, and an int option takes
+    an integer-valued number (3.0 or "3.0") and refuses a fraction."""
+    if value is None:
+        return None
     try:
-        return None if value is None else kind(value)
+        read = float(value) if isinstance(value, str) else value
+        number = kind(read)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    if kind is int and number != read:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return number
 
 
 def _step(delta):

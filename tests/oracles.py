@@ -8,15 +8,18 @@ and the pair costs of the change-point search.  ``spectral_gamma`` sums the
 spectral covariance lag by lag, where the package folds it on a frequency
 lattice.  ``fbm_gamma`` builds the time-domain kernel afresh for every
 scale pair and lag and sums it one lag at a time, where the package reuses
-per-pair tables and sums lags in blocks.
+per-pair tables and sums lags in blocks.  ``read_series_csv`` parses a
+series CSV row by row and cell by cell, where the package's reader makes
+each pass over all cells at once.
 """
 
+import csv
 import math
 
 import numpy as np
 
 import scalebreak.estimate as estimate
-from scalebreak import NumericError, ValidationError, design_matrix
+from scalebreak import NumericError, SampledPath, ValidationError, design_matrix
 from scalebreak.scalogram import ScalogramTable
 
 LAG_BLOCK = 16
@@ -247,3 +250,61 @@ def fbm_gamma(hurst, grid, wavelet):
                 )
             gam[p, q] = gam[q, p] = 2.0 * d / (r_p * r_q) ** (2.0 * hurst) * total
     return gam
+
+
+def read_series_csv(path_name, delta=None):
+    """One value per line, or two columns (t, x) with uniform spacing.
+
+    The one-column form takes the sampling step ``delta`` (default 1); the
+    two-column form reads it from the time column, and a given ``delta``
+    that disagrees with it is refused.  A non-numeric cell is reported with
+    its row and column.
+    """
+    rows = []
+    with open(path_name, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if lineno == 1 and any(_non_numeric(c) for c in row):
+                continue  # header
+            parsed = []
+            for colno, cell in enumerate(row, start=1):
+                cell = cell.strip()
+                if cell == "":
+                    continue
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise ValidationError(
+                        f"non-numeric value {cell!r} at row {lineno}, column {colno}"
+                    ) from None
+            if parsed:
+                rows.append(parsed)
+    if not rows:
+        raise ValidationError("input CSV holds no data rows")
+    widths = {len(r) for r in rows}
+    if widths == {1}:
+        values = np.array([r[0] for r in rows])
+        return SampledPath(values=values, delta=1.0 if delta is None else float(delta))
+    if widths == {2}:
+        t = np.array([r[0] for r in rows])
+        x = np.array([r[1] for r in rows])
+        steps = np.diff(t)
+        if steps.size == 0 or steps[0] <= 0:
+            raise ValidationError("time column must be increasing")
+        if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
+            raise ValidationError("time column is not uniformly spaced")
+        if delta is not None and abs(delta - steps[0]) > 1e-9 * abs(steps[0]):
+            raise ValidationError(
+                f"delta={delta} but the time column steps by {steps[0]:g}"
+            )
+        return SampledPath(values=x, delta=float(steps[0]))
+    raise ValidationError("rows must have one value or two columns (t, x)")
+
+
+def _non_numeric(cell):
+    try:
+        float(cell)
+        return False
+    except ValueError:
+        return True

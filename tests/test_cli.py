@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from scalebreak import PiecewiseSpec, default_params, run_montecarlo
 from scalebreak.cli import main, read_series_csv
 from scalebreak.errors import ValidationError
@@ -356,20 +357,36 @@ class TestDetect:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("reps", 2.5), ("seed", 1.5), ("reps", "2.5")]
+    )
+    def test_config_fractional_integer_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": "fgn", "n": 4000, "m": 1, "tau": [0.5],
+            "exponents": [0.3, 0.7], "ell": 6, "reps": 2, "seed": 1, key: value,
+        }))
+        assert run_cli("montecarlo", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+
     def test_config_numeric_strings_read_as_numbers(self, tmp_path):
         outputs = []
         for cfg_values in (
             {"n": 2000, "tau": [0.5], "exponents": [0.3, 0.7], "reps": 2,
              "seed": 1, "ci_level": 0.9},
+            {"n": 2000.0, "tau": [0.5], "exponents": [0.3, 0.7], "reps": 2.0,
+             "seed": 1.0, "ci_level": 0.9},
             {"n": "2000", "tau": ["0.5"], "exponents": ["0.3", "0.7"], "reps": "2",
              "seed": "1", "ci_level": "0.9"},
+            {"n": "2000.0", "tau": ["0.5"], "exponents": ["0.3", "0.7"],
+             "reps": "2.0", "seed": "1.0", "ci_level": "0.9"},
         ):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"family": "fgn", "m": 1, "ell": 6, **cfg_values}))
             out = tmp_path / f"mc{len(outputs)}.csv"
             assert run_cli("montecarlo", "--config", cfg, "--out", out) == 0
             outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "res.json"
@@ -378,6 +395,64 @@ class TestDetect:
             "--out", out,
         )
         assert code == 4
+
+
+# Each text is read by the package's reader and by the row-by-row oracle.
+READER_CASES = {
+    "comments-and-blanks": "# a\n#b\n1.0\n\n2.0\n  # middle\n3.0\n   \n,\n4.0\n",
+    "only-comments": "# a\n\n# b\n",
+    "header": "value\n1\n2\n3\n",
+    "two-column-header": "t,x\n0,1\n1,2\n2,3\n",
+    "bad-cell": "1\n2\nnope\n3\n",
+    "bad-second-column": "0,1\n1,abc\n2,3\n",
+    "comment-after-a-value": "1\n2 # two\n3\n",
+    "hash-in-second-column": "0,1\n1,#x\n2,3\n",
+    "trailing-comma": "# c\n1.0,\n2.0,\n3.0,\n",
+    "trailing-comma-on-line-1": "1.0,\n2.0,\n3.0,\n4.0,\n",
+    "empty-cells": ",1\n,2,\n3,,\n,,4\n",
+    "whitespace": "  1.5 \n\t2.5\n 3.5  ,  \n4.5\n",
+    "two-column-whitespace": " 0 , 1 \n1,  2\n 2 ,3\n",
+    "crlf": "# c\r\n1\r\n2\r\n\r\n3\r\n4\r\n",
+    "cr": "1\r2\r3\r4",
+    "quoted": '"1.5"\n2.5\n" 3.5 "\n4\n',
+    "two-column-quoted": '"0","1"\n"1",2\n2,"3"\n',
+    "underscore": "1_000\n2\n3\n",
+    "nan-and-inf": "1\nnan\n2\n-inf\n3\n",
+    "two-column": "0,1\n0.5,2\n1.0,3\n1.5,4\n",
+    "two-column-uneven": "0,1\n0.5,2\n1.5,3\n",
+    "mixed-widths": "1\n2,3\n4\n",
+    "empty-file": "",
+    "too-short": "1\n2\n",
+}
+
+
+def _read(reader, path):
+    try:
+        got = reader(str(path))
+    except ValidationError as exc:
+        return str(exc)
+    assert got.values.flags.c_contiguous
+    return got.values.tolist(), got.delta
+
+
+class TestReadSeriesCsv:
+    @pytest.mark.parametrize("name", READER_CASES)
+    def test_matches_the_row_by_row_oracle(self, tmp_path, name):
+        f = tmp_path / "series.csv"
+        f.write_bytes(READER_CASES[name].encode())
+        assert _read(read_series_csv, f) == _read(oracles.read_series_csv, f)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_input_matches_the_oracle(self, tmp_path, seed):
+        # The detect-fgn-m1 benchmark's inputs (perfbench/workloads.py).
+        f = tmp_path / "input.csv"
+        assert run_cli(
+            "simulate", "--family", "fgn", "--n", "20000", "--tau", "0.75",
+            "--exponents", "0.2", "0.8", "--seed", seed, "--out", f,
+        ) == 0
+        got = _read(read_series_csv, f)
+        assert len(got[0]) == 20001
+        assert got == _read(oracles.read_series_csv, f)
 
 
 class TestMonteCarloCmd:

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import scalebreak.estimate as estimate
@@ -137,8 +139,9 @@ class TestBatchedGamma:
         (2.2, ScaleGrid(1, (10, 13, 16), trim=0.1), WBL),
         (0.4, ScaleGrid(2, (2, 4, 6, 9, 12)), W3),  # gcd > 1 off the diagonal
         (2.2, ScaleGrid(1, (4, 10, 40), trim=0.1), WBL),  # disjoint bands
+        (1e-3, ScaleGrid(1, (1, 2, 3)), W3),  # nearly the whole shared table
     ], ids=["lrd-0.2", "lrd-0.5", "lrd-0.8", "fbm-0.3", "fbm-0.7",
-            "band-limited", "gcd", "disjoint"])
+            "band-limited", "gcd", "disjoint", "lrd-0.001"])
     def test_matches_serial_oracle(self, d_exp, grid, wavelet):
         sums = estimate._band_sums if wavelet.is_band_limited else estimate._lattice_sums
         g = estimate._gamma(d_exp, grid, sums(wavelet, d_exp))
@@ -154,6 +157,40 @@ class TestBatchedGamma:
         monkeypatch.setattr(estimate, "_LATTICE", 2 * estimate._LATTICE)
         g2 = gamma_lrd(d_exp, grid, W3)
         assert np.max(np.abs(g2 - g)) < 1e-10 * np.max(np.abs(g))
+
+    def test_one_table_serves_every_exponent(self, monkeypatch):
+        # After the first call builds the psi_hat table, a call at any D
+        # evaluates psi_hat only at _effective_cutoff's Simpson nodes.
+        grid = ScaleGrid(1, tuple(range(1, 31)))
+        points = []
+        psi_hat = type(W3).psi_hat
+
+        def counted(wavelet, xi):
+            points.append(np.size(xi))
+            return psi_hat(wavelet, xi)
+
+        monkeypatch.setattr(type(W3), "psi_hat", counted)
+        estimate._psi_hat_table.cache_clear()
+        gamma_lrd(0.5, grid, W3)
+        assert sum(points) > 2 * (estimate._N_QUAD + 1)
+        for d_exp in (1e-6, 1e-3, 0.2, 0.5, 0.999):
+            points.clear()
+            gamma_lrd(d_exp, grid, W3)
+            assert points == [estimate._N_QUAD + 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.integers(min_value=2, max_value=6),
+        d_lo=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        d_hi=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    def test_cutoff_does_not_grow_with_the_exponent(self, q, d_lo, d_hi):
+        # What lets the table sized at D = 0 serve every D in (0, 1).
+        d_lo, d_hi = sorted((d_lo, d_hi))
+        wavelet = make_compact_poly(q)
+        assert estimate._effective_cutoff(wavelet, d_lo) >= estimate._effective_cutoff(
+            wavelet, d_hi
+        )
 
     @pytest.mark.parametrize("d_exp", [0.2, 0.8, 2.4])
     def test_cutoff_drops_less_than_the_stated_tail(self, d_exp):
@@ -366,6 +403,12 @@ class TestGammaLocfrac:
         wide = SimpleNamespace(is_band_limited=True, lam=2.0, mu=3.2)
         with pytest.raises(ValidationError, match="pi"):
             gamma_locfrac(0.6, self.GRID, wide)
+
+    @pytest.mark.parametrize("gamma", [gamma_locfrac, gamma_lrd])
+    def test_both_routes_refuse_a_band_above_pi(self, gamma):
+        # The check sits in the one band-limited pair-sum builder.
+        with pytest.raises(ValidationError, match="pi"):
+            gamma(0.5, ScaleGrid(1, (4, 5, 6), trim=0.1), make_band_limited(2.0, 4.0))
 
 
 class TestFgls:

@@ -55,6 +55,15 @@ class TestDefaultParams:
         p = default_params("fbm", 5000, exponent_spread=0.8)
         assert any("outside the convergence regime" in n for n in p.notes)
 
+    @pytest.mark.parametrize("key, value", [("m", 1.5), ("ell", 6.7)])
+    def test_integer_option_refuses_a_fraction(self, key, value):
+        with pytest.raises(ValidationError, match=f"{key} must be an integer"):
+            default_params("fgn", 4000, **{key: value})
+
+    def test_integer_option_takes_an_integer_float(self):
+        p = default_params("fgn", 4000, m=1.0, ell=6.0)
+        assert p.constraints.m == 1 and p.grid.ratios == tuple(range(1, 7))
+
     def test_classic_profile_uses_plain_objective(self):
         p = default_params("fgn", 20000, profile="classic")
         assert p.det_objective == "plain"
