@@ -25,11 +25,14 @@ __all__ = ["main", "build_parser"]
 SCHEMA = "scalebreak/1"
 
 
+_FILES = ("input", "out")
+
+
 def config_hash(config):
-    """Hash of the run's options; the input and output file names are left
-    out, so one configuration keeps one hash whichever files it reads and
-    writes."""
-    options = {k: v for k, v in config.items() if k not in ("input", "out")}
+    """Hash of the options the run used; the input and output file names are
+    left out, so one configuration keeps one hash whichever files it reads
+    and writes."""
+    options = {k: v for k, v in config.items() if k not in _FILES}
     payload = json.dumps(options, sort_keys=True, default=str).encode()
     return hashlib.sha256(payload).hexdigest()[:12]
 
@@ -37,10 +40,10 @@ def config_hash(config):
 def _spec_from_config(cfg):
     return PiecewiseSpec(
         family=cfg["family"],
-        tau_stars=tuple(cfg.get("tau", ())),
-        exponents=tuple(cfg["exponents"]),
-        sigmas=tuple(cfg.get("sigmas") or [1.0] * len(cfg["exponents"])),
-        freq_band=tuple(cfg["band"]) if cfg.get("band") else None,
+        tau_stars=cfg.get("tau", ()),
+        exponents=cfg["exponents"],
+        sigmas=cfg.get("sigmas") or None,
+        freq_band=cfg.get("band") or None,
     )
 
 
@@ -51,23 +54,18 @@ _PARAM_KEYS = (
 )
 
 
-def _params_from_config(cfg, spread=None):
+def _params_from_config(cfg):
     """default_params for the run; it alone holds the defaults, so only the
-    keys the config sets are forwarded."""
+    keys the config sets are forwarded, with the exponents' spread."""
     kwargs = {}
     for key in _PARAM_KEYS:
         val = cfg.get(key)
         if val is not None:
             name = "freq_band" if key == "band" else key
             kwargs[name] = tuple(val) if isinstance(val, list) else val
+    exps = cfg.get("exponents") or ()
+    spread = max(exps) - min(exps) if len(exps) > 1 else None
     return default_params(cfg["family"], cfg["n"], exponent_spread=spread, **kwargs)
-
-
-def _exponent_spread(cfg):
-    exps = cfg.get("exponents")
-    if exps and len(exps) > 1:
-        return max(exps) - min(exps)
-    return None
 
 
 def read_series_csv(path_name, delta=None):
@@ -192,7 +190,7 @@ def cmd_detect(cfg):
         )
     cfg = dict(cfg, n=path.n, delta=path.delta)
     chash = config_hash(cfg)
-    params = _params_from_config(cfg, spread=_exponent_spread(cfg))
+    params = _params_from_config(cfg)
     report = analyze(path, params, ci_level=cfg.get("ci_level", 0.95))
     res = report.result
     out = cfg["out"]
@@ -237,7 +235,7 @@ def cmd_detect(cfg):
 def cmd_montecarlo(cfg):
     spec = _spec_from_config(cfg)
     chash = config_hash(cfg)
-    params = _params_from_config(cfg, spread=_exponent_spread(cfg))
+    params = _params_from_config(cfg)
     records = run_montecarlo(
         spec,
         cfg["n"],
@@ -276,53 +274,54 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--family", choices=[f.value for f in Family])
-        p.add_argument("--m", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--ell", type=int)
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--wavelet", dest="q", type=int, metavar="Q",
-                       help="vanishing moments of the compact wavelet")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--delta", type=float)
-        p.add_argument("--tau", type=float, nargs="*")
-        p.add_argument("--exponents", type=float, nargs="*")
-        p.add_argument("--sigmas", type=float, nargs="*")
-        p.add_argument("--band", type=float, nargs=2, metavar=("FMIN", "FMAX"))
-        p.add_argument("--wavelet-band", dest="wavelet_band", type=float, nargs=2,
-                       metavar=("LAM", "MU"))
-        p.add_argument("--trim", type=float)
-        p.add_argument("--a-base", dest="a_base", type=int)
-        p.add_argument("--v-n", dest="v_n", type=float)
-        p.add_argument("--min-len", dest="min_len", type=int)
-        p.add_argument("--stride", type=int)
-        p.add_argument("--ci-level", dest="ci_level", type=float)
-        p.add_argument("--min-det-scale", dest="min_det_scale", type=int,
-                       help="smallest detection scale (use >= trend degree"
-                            " protection, e.g. 20, for trended data)")
-        p.add_argument("--profile", choices=["tuned", "classic"])
+    # Each command takes only the flags it reads: the common ones, the process
+    # (simulate, montecarlo) and the run parameters (detect, montecarlo).
+    common, process, run = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    common.add_argument("--config", help="JSON config file; flags override it")
+    common.add_argument("--family", choices=[f.value for f in Family])
+    common.add_argument("--m", type=int)
+    common.add_argument("--n", type=int)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out")
+    common.add_argument("--delta", type=float)
+    common.add_argument("--exponents", type=float, nargs="*")
+    common.add_argument("--band", type=float, nargs=2, metavar=("FMIN", "FMAX"))
+    process.add_argument("--tau", type=float, nargs="*")
+    process.add_argument("--sigmas", type=float, nargs="*")
+    run.add_argument("--ell", type=int)
+    run.add_argument("--kappa", type=float)
+    run.add_argument("--wavelet", dest="q", type=int, metavar="Q",
+                     help="vanishing moments of the compact wavelet")
+    run.add_argument("--wavelet-band", dest="wavelet_band", type=float, nargs=2,
+                     metavar=("LAM", "MU"))
+    run.add_argument("--trim", type=float)
+    run.add_argument("--a-base", dest="a_base", type=int)
+    run.add_argument("--v-n", dest="v_n", type=float)
+    run.add_argument("--min-len", dest="min_len", type=int)
+    run.add_argument("--stride", type=int)
+    run.add_argument("--min-det-scale", dest="min_det_scale", type=int,
+                     help="smallest detection scale (use >= trend degree"
+                          " protection, e.g. 20, for trended data)")
+    run.add_argument("--profile", choices=["tuned", "classic"])
 
-    p_sim = sub.add_parser("simulate", help="simulate a piecewise path to CSV")
-    add_common(p_sim)
-
-    p_det = sub.add_parser("detect", help="detect change points in a CSV series")
-    add_common(p_det)
+    sub.add_parser("simulate", parents=[common, process],
+                   help="simulate a piecewise path to CSV")
+    p_det = sub.add_parser("detect", parents=[common, run],
+                           help="detect change points in a CSV series")
     p_det.add_argument("--input", help="input CSV (one value/line or t,x)")
-
-    p_mc = sub.add_parser("montecarlo", help="replicate simulate+detect")
-    add_common(p_mc)
+    p_det.add_argument("--ci-level", dest="ci_level", type=float)
+    p_mc = sub.add_parser("montecarlo", parents=[common, process, run],
+                          help="replicate simulate+detect")
     p_mc.add_argument("--reps", type=int)
     p_mc.add_argument("--fgls", action="store_true", default=None)
     return parser
 
 
-_DEFAULTS = {"seed": 0, "m": 0, "reps": 10}
+_DEFAULTS = {"seed": 0, "reps": 10}
 # Numeric options the commands read themselves; default_params converts
 # its own.
-_NUMBERS = {"n": int, "delta": float, "ci_level": float, "reps": int, "seed": int}
+_NUMBERS = {"m": int, "n": int, "delta": float, "ci_level": float, "reps": int,
+            "seed": int}
 _NUMBER_LISTS = ("tau", "exponents", "sigmas")
 _REQUIRED = {
     "simulate": ("family", "n", "exponents", "out"),
@@ -332,15 +331,22 @@ _REQUIRED = {
 
 
 def _merge_config(args):
+    """Flags over the config file over the defaults.  A null means the default,
+    and a key the command has no flag for is dropped: one file serves all."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("config", "command")}
     cfg = dict(_DEFAULTS)
     if args.config:
         with open(args.config) as fh:
-            # A null in the config means "use the default".
-            cfg.update((k, v) for k, v in json.load(fh).items() if v is not None)
-    for key, val in vars(args).items():
-        if key in ("config", "command") or val is None:
-            continue
-        cfg[key] = val
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ValidationError(f"config is not JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            kind = type(loaded).__name__
+            raise ValidationError(f"config must be a JSON object, not {kind}")
+        cfg.update((k, v) for k, v in loaded.items() if v is not None)
+    cfg.update((k, v) for k, v in flags.items() if v is not None)
+    cfg = {k: v for k, v in cfg.items() if k in flags}
     missing = [k for k in _REQUIRED[args.command] if not cfg.get(k)]
     if missing:
         raise ValidationError(f"missing required options: {', '.join(missing)}")
@@ -352,6 +358,14 @@ def _merge_config(args):
             if not isinstance(cfg[key], list):
                 raise ValidationError(f"{key} must be a list, got {cfg[key]!r}")
             cfg[key] = [_number(key, v) for v in cfg[key]]
+    for key in _FILES:
+        if not isinstance(cfg.get(key, ""), str):
+            raise ValidationError(f"{key} must be a file name, got {cfg[key]!r}")
+    if not isinstance(cfg.get("fgls", False), bool):
+        raise ValidationError(f"fgls must be true or false, got {cfg['fgls']!r}")
+    m = len(cfg.get("tau", ()))  # simulate and montecarlo take m from tau
+    if "tau" in flags and cfg.setdefault("m", m) != m:
+        raise ValidationError(f"m={cfg['m']} but tau holds {m} change fractions")
     return cfg
 
 

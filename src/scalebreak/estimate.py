@@ -59,7 +59,7 @@ import numpy as np
 from scipy.special import chdtri, gammaincc, ndtri
 
 from .errors import NumericError, ValidationError
-from .synth import Family
+from .synth import Family, _family
 
 __all__ = [
     "ThetaEstimate",
@@ -124,7 +124,7 @@ def chi2_quantile(level, df):
 def exponent_from_alpha(alpha, family):
     """The family's natural exponent: D = alpha for stationary long-memory
     series, H = (alpha-1)/2 for self-similar and band-limited processes."""
-    family = Family(family)
+    family = _family(family)
     if family in (Family.FGN, Family.FARIMA):
         return float(alpha)
     return 0.5 * (float(alpha) - 1.0)
@@ -490,7 +490,7 @@ def make_gamma(family, grid, wavelet):
     bounded parameter range, clipped just inside it so that a noisy fit
     still yields a usable weight matrix.
     """
-    family = Family(family)
+    family = _family(family)
     if family is Family.LOCFRAC:
         return lambda alpha: gamma_locfrac(
             exponent_from_alpha(alpha, family), grid, wavelet

@@ -27,7 +27,7 @@ from .estimate import (
 )
 from .scalogram import ScaleGrid, ScalogramTable, design_matrix
 from .segment import SegmentationConstraints, detect
-from .synth import Family, _band, _number, _step, simulate_piecewise
+from .synth import Family, _band, _family, _number, _step, simulate_piecewise
 from .wavelet import make_band_limited, make_compact_poly
 
 __all__ = [
@@ -124,7 +124,7 @@ def default_params(
     the run is flagged rather than refused (the documented failure
     regime).
     """
-    family = Family(family)
+    family = _family(family)
     n = _number("n", n, int)
     m = _number("m", m, int)
     ell = _number("ell", ell, int)
@@ -132,8 +132,11 @@ def default_params(
     min_len = _number("min_len", min_len, int)
     stride = _number("stride", stride, int)
     min_det_scale = _number("min_det_scale", min_det_scale, int)
-    # ScaleGrid refuses a non-integer base, so a_base stays a float here.
+    # ScaleGrid refuses a base below 1 or not an integer, so a_base stays a
+    # float here and only its top is checked.
     a_base = _number("a_base", a_base)
+    if a_base is not None and not a_base <= n:
+        raise ValidationError(f"a_base must be at most N={n}, got {a_base}")
     kappa = _number("kappa", kappa)
     v_n = _number("v_n", v_n)
     if v_n is not None and not v_n > 0.0:
@@ -196,7 +199,11 @@ def default_params(
             )
         wavelet = make_band_limited(lam, mu)
         # Integer scales a (in samples) with [lam/(a delta), mu/(a delta)]
-        # inside [fmin, fmax].
+        # inside [fmin, fmax]; the largest may not exceed the series.
+        if not fmin * delta * n >= lam:
+            raise ValidationError(
+                f"band puts scales past N={n} at delta={delta}; raise fmin or delta"
+            )
         r_lo = int(math.ceil(mu / (fmax * delta)))
         r_hi = int(math.floor(lam / (fmin * delta)))
         if r_hi - r_lo + 1 < ell:

@@ -52,6 +52,15 @@ class Family(str, Enum):
 UNIT_STEP_FAMILIES = (Family.FGN, Family.FARIMA, Family.FBM)
 
 
+def _family(value):
+    """``value`` as a Family; otherwise ValidationError naming the families."""
+    try:
+        return Family(value)
+    except ValueError:
+        names = ", ".join(f.value for f in Family)
+        raise ValidationError(f"family must be one of {names}, got {value!r}") from None
+
+
 def gaussian_draws(rng, size):
     """Standard normal draws through the inverse CDF (no rejection step).
 
@@ -65,10 +74,13 @@ def gaussian_draws(rng, size):
 def _number(name, value, kind=float):
     """``value`` as ``kind``, None kept; otherwise ValidationError naming
     ``name``.  A string is read as a float first, and an int option takes
-    an integer-valued number (3.0 or "3.0") and refuses a fraction."""
+    an integer-valued number (3.0 or "3.0") and refuses a fraction.  A
+    boolean is not a number here."""
     if value is None:
         return None
     try:
+        if isinstance(value, bool):
+            raise TypeError
         read = float(value) if isinstance(value, str) else value
         number = kind(read)
     except (TypeError, ValueError, OverflowError):
@@ -115,7 +127,7 @@ class PiecewiseSpec:
     freq_band: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "family", Family(self.family))
+        object.__setattr__(self, "family", _family(self.family))
         object.__setattr__(self, "tau_stars", tuple(float(t) for t in self.tau_stars))
         object.__setattr__(self, "exponents", tuple(float(e) for e in self.exponents))
         sigmas = self.sigmas if self.sigmas is not None else (1.0,) * len(self.exponents)
@@ -132,8 +144,8 @@ class PiecewiseSpec:
             )
         if len(self.sigmas) != len(self.exponents):
             raise ValidationError("sigmas and exponents must have equal length")
-        if any(s <= 0.0 for s in self.sigmas):
-            raise ValidationError("sigmas must be positive")
+        if any(not (s > 0.0 and 0.0 < s * s < math.inf) for s in self.sigmas):
+            raise ValidationError("sigmas must be positive with a finite, nonzero square")
         if self.family in (Family.FGN, Family.FARIMA):
             if any(not 0.0 < d < 1.0 for d in self.exponents):
                 raise ValidationError("fgn/farima exponent D must lie in (0,1)")
@@ -265,10 +277,11 @@ def _locfrac_inv_rho_sq(xi, H, sigma, fmin, fmax):
     integrability condition while leaving in-band statistics untouched)."""
     # c is xi inside the band and the nearest band edge outside it, where the
     # taper's width is half the edge.  The edges' powers stay scalars: numpy's
-    # array power can differ from the scalar one in the last bit.
+    # array power can differ from the scalar one in the last bit.  The power
+    # is taken on c, so the out-of-band values np.where drops cannot overflow.
     p = -(2.0 * H + 1.0)
     c = np.clip(xi, fmin, fmax)
-    power = np.where(xi < fmin, fmin**p, np.where(xi > fmax, fmax**p, xi**p))
+    power = np.where(xi < fmin, fmin**p, np.where(xi > fmax, fmax**p, c**p))
     return sigma**2 * power * np.exp(-(((xi - c) / (0.5 * c)) ** 2))
 
 
@@ -287,14 +300,25 @@ def _locfrac_segment(n_points, delta, H, sigma, band, rng):
         )
     nfft = 1 << max(int(math.ceil(math.log2(4.0 * n_points))), 8)
     dxi = 2.0 * math.pi / (nfft * delta)
+    if dxi >= fmax:
+        raise ValidationError(
+            "segment too short at this sampling step: its frequency grid "
+            "steps past the band"
+        )
     jmax = min(nfft // 2 - 1, int(math.ceil(xi_cap / dxi)))
     xi = dxi * np.arange(1, jmax + 1)
-    amp = np.sqrt(2.0 * dxi * _locfrac_inv_rho_sq(xi, H, sigma, fmin, fmax))
     z = gaussian_draws(rng, 2 * jmax)
-    w = np.zeros(nfft, dtype=complex)
-    w[1 : jmax + 1] = amp * (z[:jmax] - 1j * z[jmax:])
-    f = np.fft.ifft(w).real * nfft
-    return f[:n_points] - f[0]
+    with np.errstate(over="raise"):
+        try:
+            amp = np.sqrt(2.0 * dxi * _locfrac_inv_rho_sq(xi, H, sigma, fmin, fmax))
+            w = np.zeros(nfft, dtype=complex)
+            w[1 : jmax + 1] = amp * (z[:jmax] - 1j * z[jmax:])
+            f = np.fft.ifft(w).real * nfft
+            return f[:n_points] - f[0]
+        except (OverflowError, FloatingPointError):
+            raise ValidationError(
+                f"exponent {H} with scale {sigma} overflows the spectrum on the band"
+            ) from None
 
 
 def segment_bounds(n, tau_stars):
@@ -319,6 +343,8 @@ def simulate_piecewise(spec, n, delta=1.0, seed=None):
     bounds = segment_bounds(n, spec.tau_stars)
     if any(hi - lo < 2 for lo, hi in bounds):
         raise ValidationError("every segment must contain at least 2 points")
+    if seed is not None and not seed >= 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     values = np.empty(n + 1)
     for (lo, hi), expo, sig in zip(bounds, spec.exponents, spec.sigmas):
