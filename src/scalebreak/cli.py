@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .estimate import QUADRATURE_META
+from .estimate import quadrature_meta
 from .pipeline import analyze, columns, default_params, run_montecarlo, summarize
 from .synth import Family, PiecewiseSpec, SampledPath, _number, simulate_piecewise
 
@@ -71,15 +71,21 @@ def _params_from_config(cfg):
 def read_series_csv(path_name, delta=None):
     """One value per line, or two columns (t, x) with uniform spacing.
 
-    Rows whose first cell starts with '#', blank rows and empty cells are
-    skipped; cells may be quoted and padded with whitespace, and a first
-    row with a non-numeric cell is a header.  The one-column form takes
-    the sampling step ``delta`` (default 1); the two-column form reads it
-    from the time column, and a given ``delta`` that disagrees with it is
+    The file is read as UTF-8, and a leading byte order mark is dropped;
+    bytes that are not UTF-8, or a cell past the csv module's field limit,
+    are refused.  Rows whose first cell starts with '#', blank rows and
+    empty cells are skipped; cells may be quoted and padded with
+    whitespace, and a first row with a non-numeric cell is a header.  The
+    one-column form takes the sampling step ``delta`` (default 1); the
+    two-column form reads it from the time column, which must step by a
+    finite, uniform amount, and a given ``delta`` that disagrees with it is
     refused.  A non-numeric cell is reported with its row and column.
     """
-    with open(path_name, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path_name, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"input CSV cannot be read: {exc}") from None
     # Past the tokenizer, every pass over the cells runs in C; Python walks
     # cells only to name a bad one.
     width = np.fromiter(map(len, rows), np.intp, len(rows))
@@ -108,12 +114,14 @@ def read_series_csv(path_name, delta=None):
         return SampledPath(values=values, delta=1.0 if delta is None else float(delta))
     if widths == {2}:
         t, x = values.reshape(-1, 2).T.copy()
-        steps = np.diff(t)
-        if steps.size == 0 or steps[0] <= 0:
-            raise ValidationError("time column must be increasing")
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            steps = np.diff(t)
+            uneven = np.abs(steps - steps[:1])
+        if steps.size == 0 or not 0.0 < steps[0] < np.inf:
+            raise ValidationError("time column must be increasing by a finite step")
+        if not np.all(uneven <= 1e-9 * steps[0]):
             raise ValidationError("time column is not uniformly spaced")
-        if delta is not None and abs(delta - steps[0]) > 1e-9 * abs(steps[0]):
+        if delta is not None and not abs(delta - steps[0]) <= 1e-9 * steps[0]:
             raise ValidationError(
                 f"delta={delta} but the time column steps by {steps[0]:g}"
             )
@@ -208,7 +216,7 @@ def cmd_detect(cfg):
         "margin": report.margin,
         "margin_clamped": report.margin_clamped,
         "v_n": res.n / report.margin if report.margin else float("inf"),
-        "quadrature": dict(QUADRATURE_META),
+        "quadrature": quadrature_meta(params.grid),
         "segments": [_segment_dict(f, cfg.get("ci_level", 0.95)) for f in report.segments],
     }
     with open(out, "w") as fh:

@@ -218,11 +218,23 @@ def confidence_interval(estimate, level):
 # ---------------------------------------------------------------------------
 
 _N_QUAD = 8192  # Simpson intervals per integral
-_LATTICE = 1024  # M, frequency lattice points per period 2 pi
+_LATTICE = 1024  # smallest M, frequency lattice points per period 2 pi
+_PER_RATIO = 5  # lattice points per unit of the largest scale ratio
 _TAIL = 1e-10  # bound on the part of J beyond the compact wavelet's cutoff
 
-# Recorded in result metadata so runs are reproducible bit for bit.
-QUADRATURE_META = {"simpson_intervals": _N_QUAD, "lattice_size": _LATTICE}
+
+def lattice_size(ratios):
+    """M for a Gamma over ``ratios``: the smallest power of two at least
+    _LATTICE and _PER_RATIO times the largest ratio.  psi_hat(r eta)
+    oscillates r times faster than psi_hat(eta), so a fixed M loses
+    accuracy as r grows (4e-3 of max|Gamma| at r = 702 under M = 1024)."""
+    return max(_LATTICE, 1 << (_PER_RATIO * max(ratios) - 1).bit_length())
+
+
+def quadrature_meta(grid):
+    """The quadrature sizes for ``grid``, recorded in result metadata so
+    runs are reproducible bit for bit."""
+    return {"simpson_intervals": _N_QUAD, "lattice_size": lattice_size(grid.ratios)}
 
 
 def _simpson_rule(lo, hi):
@@ -276,9 +288,9 @@ def _psi_hat_table(wavelet, size):
     return table
 
 
-def _lattice_sums(wavelet, d_exp):
+def _lattice_sums(wavelet, d_exp, size):
     """S_pq and J of a compact wavelet on the lattice eta_n = n h,
-    h = 2 pi / M.
+    h = 2 pi / M, M = ``size``.
 
     psi_hat(p eta_n) is entry p n of the shared table, cut at this D's
     cutoff.  With cw_n = conj(psi_hat(eta_n)) eta_n^-D, the pair's samples
@@ -286,18 +298,18 @@ def _lattice_sums(wavelet, d_exp):
     mod M into F, and S_pq = (pi/2) h sum_j |F_j|^2.
     """
     cutoff = _effective_cutoff(wavelet, d_exp)
-    _log.debug("spectral gamma: lattice M = %d, cutoff %.6g", _LATTICE, cutoff)
-    h = 2.0 * math.pi / _LATTICE
-    table = _psi_hat_table(wavelet, _LATTICE)[: int(cutoff / h) + 1]
+    _log.debug("spectral gamma: lattice M = %d, cutoff %.6g", size, cutoff)
+    h = 2.0 * math.pi / size
+    table = _psi_hat_table(wavelet, size)[: int(cutoff / h) + 1]
     power = _power(h * np.arange(table.size), d_exp)
     cw = np.conj(table) * power
-    mirror = -np.arange(_LATTICE)
+    mirror = -np.arange(size)
 
     def pair_sum(p, q):
         count = (table.size - 1) // q + 1
         g = table[: p * count : p] * cw[: q * count : q]
-        whole = count - count % _LATTICE
-        folded = g[:whole].reshape(-1, _LATTICE).sum(axis=0)
+        whole = count - count % size
+        folded = g[:whole].reshape(-1, size).sum(axis=0)
         folded[: count - whole] += g[whole:]
         f = folded + np.conj(folded[mirror])
         return 0.5 * math.pi * h * q ** (2.0 * d_exp) * float(np.vdot(f, f).real)
@@ -355,8 +367,10 @@ def gamma_lrd(d_exp, grid, wavelet):
     pole exponent ``d_exp`` in (0,1)."""
     if not 0.0 < d_exp < 1.0:
         raise ValidationError("long-memory exponent must lie in (0,1)")
-    sums = _band_sums if wavelet.is_band_limited else _lattice_sums
-    return _gamma(float(d_exp), grid, sums(wavelet, float(d_exp)))
+    d_exp = float(d_exp)
+    if wavelet.is_band_limited:
+        return _gamma(d_exp, grid, _band_sums(wavelet, d_exp))
+    return _gamma(d_exp, grid, _lattice_sums(wavelet, d_exp, lattice_size(grid.ratios)))
 
 
 def gamma_locfrac(hurst, grid, wavelet):

@@ -6,7 +6,8 @@ covariance matrices and the goodness-of-fit test are built around.  The
 detection grid is family-tuned (see :func:`default_params`): the change
 instants only need a cost whose minimum sits at the true split, and the
 grid geometry that achieves this reliably differs between process
-families.  Every choice is overridable.
+families.  Every option a family reads can be set, and an option it never
+reads is refused.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ __all__ = [
 
 DEFAULT_KAPPA = 0.05
 DEFAULT_BAND_WAVELET = (2.0, 3.0)
+# The families that read each family-specific option; default_params refuses
+# it, when set, for any other family.
+_READERS = {
+    "q": (Family.FGN, Family.FARIMA, Family.FBM),
+    "min_det_scale": (Family.FGN, Family.FARIMA),
+    **dict.fromkeys(("freq_band", "wavelet_band", "trim"), (Family.LOCFRAC,)),
+}
 
 
 @dataclass(frozen=True)
@@ -84,23 +92,32 @@ def _dense_det_grid(lo, hi):
 def default_params(
     family,
     n,
-    m=0,
-    delta=1.0,
+    m=None,
+    delta=None,
     ell=None,
-    kappa=DEFAULT_KAPPA,
-    q=3,
+    kappa=None,
+    q=None,
     a_base=None,
     v_n=None,
     min_len=None,
     stride=None,
     exponent_spread=None,
     freq_band=None,
-    wavelet_band=DEFAULT_BAND_WAVELET,
-    trim=0.1,
+    wavelet_band=None,
+    trim=None,
     min_det_scale=None,
-    profile="tuned",
+    profile=None,
 ):
     """Family defaults for wavelet, grids, margins and search constraints.
+
+    Every keyword defaults to None, which means its default (m=0, delta=1,
+    kappa=0.05, q=3, trim=0.1, wavelet_band=(2, 3), profile="tuned"; ell,
+    a_base, v_n, min_len and stride follow from N and the grids).  A set
+    value is always read: 0 is not the default.  ``q`` is read by the
+    compact-wavelet families fgn, farima and fbm, ``min_det_scale`` by fgn
+    and farima, and ``freq_band``, ``wavelet_band`` and ``trim`` by locfrac;
+    any other family refuses them when set.  Every family takes
+    ``exponent_spread``, which describes the process, but only fbm reads it.
 
     Estimation scales follow a_N = N^(1/5+kappa) (long memory, kappa in
     (0, 2/15)) or N^(1/3+kappa) (self-similar, kappa in (0, 2/3), the
@@ -109,9 +126,10 @@ def default_params(
     support stays inside the process band.  ``ell`` defaults to 0.15% of N.
 
     Detection grids are family-tuned unless ``profile="classic"``, which
-    searches on the estimation grid with the plain contrast.  For
-    stationary families ``min_det_scale`` lifts the smallest detection
-    scale; the default of 2 maximizes resolution.  The sampled compact
+    searches on the estimation grid with the plain contrast.  For fgn and
+    farima ``min_det_scale`` sets the smallest scale of a consecutive
+    detection grid; fgn's default of 2 maximizes resolution, and farima
+    searches a dense grid unless it is set.  The sampled compact
     filters cancel a constant only for odd q (to rounding) and no trend of
     higher degree at any scale; a trend of degree below q that they do not
     cancel leaves a deterministic coefficient that shrinks as the scale
@@ -125,8 +143,13 @@ def default_params(
     regime).
     """
     family = _family(family)
+    given = dict(q=q, min_det_scale=min_det_scale, freq_band=freq_band,
+                 wavelet_band=wavelet_band, trim=trim)
+    for name, readers in _READERS.items():
+        if given[name] is not None and family not in readers:
+            raise ValidationError(f"{family.value} runs do not read {name}")
     n = _number("n", n, int)
-    m = _number("m", m, int)
+    m = _number("m", 0 if m is None else m, int)
     ell = _number("ell", ell, int)
     q = _number("q", q, int)
     min_len = _number("min_len", min_len, int)
@@ -137,15 +160,15 @@ def default_params(
     a_base = _number("a_base", a_base)
     if a_base is not None and not a_base <= n:
         raise ValidationError(f"a_base must be at most N={n}, got {a_base}")
-    kappa = _number("kappa", kappa)
+    kappa = _number("kappa", DEFAULT_KAPPA if kappa is None else kappa)
     v_n = _number("v_n", v_n)
     if v_n is not None and not v_n > 0.0:
         raise ValidationError(f"v_n must be positive (inf for no margin), got {v_n}")
     trim = _number("trim", trim)
     exponent_spread = _number("exponent_spread", exponent_spread)
-    delta = _step(delta)
+    delta = _step(1.0 if delta is None else delta)
     notes = []
-    if profile not in ("tuned", "classic"):
+    if profile not in (None, "tuned", "classic"):
         raise ValidationError("profile must be 'tuned' or 'classic'")
     if ell is None:
         ell = max(3, round(0.0015 * n))
@@ -155,11 +178,12 @@ def default_params(
         if not 0.0 < kappa < 2.0 / 15.0:
             raise ValidationError("kappa must lie in (0, 2/15) for long-memory runs")
         a = a_base if a_base is not None else max(2, round(n ** (0.2 + kappa)))
-        wavelet = make_compact_poly(q)
+        wavelet = make_compact_poly(3 if q is None else q)
         grid = ScaleGrid(a, tuple(range(1, ell + 1)), trim=0.0)
         v = v_n if v_n is not None else n ** (0.4 - 3.0 * kappa)
-        if family is Family.FGN or min_det_scale:
-            det_grid = _stationary_det_grid(ell, min_det_scale or 2)
+        if family is Family.FGN or min_det_scale is not None:
+            lowest = 2 if min_det_scale is None else min_det_scale
+            det_grid = _stationary_det_grid(ell, lowest)
         else:
             # FARIMA spectra have matched low-frequency intercepts, which
             # makes the variance-anchored small-scale grid misleading; a
@@ -169,7 +193,7 @@ def default_params(
         if not 0.0 < kappa < 2.0 / 3.0:
             raise ValidationError("kappa must lie in (0, 2/3) for self-similar runs")
         a = a_base if a_base is not None else max(2, round(n ** (1.0 / 3.0 + kappa)))
-        wavelet = make_compact_poly(q)
+        wavelet = make_compact_poly(3 if q is None else q)
         grid = ScaleGrid(a, tuple(range(1, ell + 1)), trim=0.0)
         spread = exponent_spread
         if spread is not None and spread < 0.5:
@@ -192,7 +216,8 @@ def default_params(
         if not 0.0 < kappa < 0.5:
             raise ValidationError("kappa must lie in (0, 1/2) for band-limited runs")
         fmin, fmax = _band("freq_band", freq_band)
-        lam, mu = _band("wavelet_band", wavelet_band)
+        band = DEFAULT_BAND_WAVELET if wavelet_band is None else wavelet_band
+        lam, mu = _band("wavelet_band", band)
         if mu / lam >= fmax / fmin:
             raise ValidationError(
                 "wavelet band too wide for the process band: need mu/lam < fmax/fmin"
@@ -216,7 +241,7 @@ def default_params(
             raise ValidationError("scale grid collapsed; reduce ell")
         a = a_base if a_base is not None else 1
         v = v_n if v_n is not None else n ** (0.5 - kappa)
-        grid = ScaleGrid(a, ratios, trim=trim)
+        grid = ScaleGrid(a, ratios, trim=0.1 if trim is None else trim)
         det_grid = grid
     else:  # pragma: no cover
         raise ValidationError(f"unknown family {family}")

@@ -255,13 +255,22 @@ def fbm_gamma(hurst, grid, wavelet):
 def read_series_csv(path_name, delta=None):
     """One value per line, or two columns (t, x) with uniform spacing.
 
-    The one-column form takes the sampling step ``delta`` (default 1); the
+    The file is UTF-8, with or without a byte order mark; bytes that are
+    not UTF-8 and a cell past the csv field limit are refused.  The
+    one-column form takes the sampling step ``delta`` (default 1); the
     two-column form reads it from the time column, and a given ``delta``
     that disagrees with it is refused.  A non-numeric cell is reported with
     its row and column.
     """
+    try:
+        return _read_rows(path_name, delta)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"input CSV cannot be read: {exc}") from None
+
+
+def _read_rows(path_name, delta):
     rows = []
-    with open(path_name, newline="") as fh:
+    with open(path_name, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].lstrip().startswith("#"):
                 continue
@@ -289,12 +298,14 @@ def read_series_csv(path_name, delta=None):
     if widths == {2}:
         t = np.array([r[0] for r in rows])
         x = np.array([r[1] for r in rows])
-        steps = np.diff(t)
-        if steps.size == 0 or steps[0] <= 0:
-            raise ValidationError("time column must be increasing")
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            steps = np.diff(t)
+            uneven = np.abs(steps - steps[:1])
+        if steps.size == 0 or not 0.0 < steps[0] < np.inf:
+            raise ValidationError("time column must be increasing by a finite step")
+        if not np.all(uneven <= 1e-9 * steps[0]):
             raise ValidationError("time column is not uniformly spaced")
-        if delta is not None and abs(delta - steps[0]) > 1e-9 * abs(steps[0]):
+        if delta is not None and not abs(delta - steps[0]) <= 1e-9 * steps[0]:
             raise ValidationError(
                 f"delta={delta} but the time column steps by {steps[0]:g}"
             )

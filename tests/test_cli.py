@@ -1,9 +1,13 @@
 import json
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import scalebreak.estimate as estimate
 from scalebreak import PiecewiseSpec, default_params, run_montecarlo
 from scalebreak.cli import main, read_series_csv
 from scalebreak.errors import ValidationError
@@ -272,6 +276,21 @@ class TestDetect:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_result_records_the_lattice_size_used(self, tmp_path, monkeypatch, caplog):
+        # 200 lattice points per unit ratio put the ell = 6 grid on M = 2048.
+        monkeypatch.setattr(estimate, "_PER_RATIO", 200)
+        series = tmp_path / "series.csv"
+        np.savetxt(series, np.random.default_rng(6).normal(size=4097))
+        out = tmp_path / "res.json"
+        caplog.set_level(logging.DEBUG, logger="scalebreak")
+        assert run_cli(
+            "detect", "--family", "fgn", "--ell", "6", "--input", series, "--out", out,
+        ) == 0
+        quadrature = json.loads(out.read_text())["quadrature"]
+        assert quadrature == {"simpson_intervals": 8192, "lattice_size": 2048}
+        used = {r.args[0] for r in caplog.records if "lattice" in r.getMessage()}
+        assert used == {2048}
+
     def test_fbm_kappa_out_of_range_exits_2(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
         np.savetxt(series, np.random.default_rng(6).normal(size=5001))
@@ -423,6 +442,8 @@ READER_CASES = {
     "mixed-widths": "1\n2,3\n4\n",
     "empty-file": "",
     "too-short": "1\n2\n",
+    "two-column-infinite-time": "inf,1\ninf,2\ninf,3\n",
+    "two-column-overflowing-step": "-1e308,1\n1e308,2\n1.7e308,3\n",
 }
 
 
@@ -453,6 +474,87 @@ class TestReadSeriesCsv:
         got = _read(read_series_csv, f)
         assert len(got[0]) == 20001
         assert got == _read(oracles.read_series_csv, f)
+
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a BOM.
+        f = tmp_path / "series.csv"
+        f.write_bytes("\ufeff1.5\n2\n3\n4".encode())
+        for reader in (read_series_csv, oracles.read_series_csv):
+            assert reader(str(f)).values.tolist() == [1.5, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("data, message", [
+        (b"1\n2\n\xe9\n3\n", "'utf-8' codec can't decode byte 0xe9"),
+        (b"1" * 131_073 + b"\n2\n3\n", "field larger than field limit (131072)"),
+    ], ids=["not-utf-8", "oversized-cell"])
+    def test_unreadable_text_exits_2(self, tmp_path, capsys, data, message):
+        f = tmp_path / "series.csv"
+        f.write_bytes(data)
+        for reader in (read_series_csv, oracles.read_series_csv):
+            with pytest.raises(ValidationError, match="input CSV cannot be read"):
+                reader(str(f))
+        out = tmp_path / "res.json"
+        assert run_cli("detect", "--family", "fgn", "--input", f, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Property: whatever text a CSV holds, the package reader and the row-by-row
+# oracle agree, and detect exits 0, 2, 3 or 4.
+
+NUMBERS = st.one_of(
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "+inf", "1e308", "-1e308",
+                     "5e-324", "-0", "0", "1.5", "1_000"]),
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+WORDS = st.sampled_from(["", " ", "t", "x", "value", "#", "# note", "abc"])
+CELLS = st.one_of(NUMBERS, WORDS).flatmap(
+    lambda c: st.sampled_from([c, f'"{c}"', f"  {c} ", f"\t{c}"])
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """Bytes of a CSV: drawn rows around a run of plain values (so that some
+    texts reach the analysis), with a drawn line ending, maybe a BOM, a byte
+    that is not UTF-8 or a cell past the csv module's field limit."""
+    rows = st.lists(CELLS, max_size=3).map(",".join)
+    head, tail = draw(st.lists(rows, max_size=3)), draw(st.lists(rows, max_size=2))
+    values = draw(st.sampled_from([1.0, 1e300, 1e-300])) * np.random.default_rng(
+        draw(st.integers(0, 9))
+    ).normal(size=draw(st.sampled_from([300, 40, 3, 0])))
+    if draw(st.booleans()):
+        body = [format(v, ".17g") for v in values]
+    else:
+        body = [f"{0.5 * i:.17g},{v:.17g}" for i, v in enumerate(values)]
+    if draw(st.integers(0, 5)) == 3:
+        tail.append("1" * 131_073)
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(head + body + tail)
+    data = ("\ufeff" if draw(st.booleans()) else "").encode() + text.encode()
+    if draw(st.integers(0, 5)) == 3:
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\xe9", b"\x80"]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv-property")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=csv_texts())
+def test_any_csv_text_reads_alike_and_exits_with_a_documented_code(csv_dir, data):
+    f = csv_dir / "series.csv"
+    f.write_bytes(data)
+    got, want = _read(read_series_csv, f), _read(oracles.read_series_csv, f)
+    assert got == want or (isinstance(got, str) and isinstance(want, str))
+    out = csv_dir / "res.json"
+    code = run_cli("detect", "--family", "fgn", "--input", f, "--out", out)
+    assert code in (0, 2, 3, 4)
 
 
 class TestMonteCarloCmd:

@@ -143,8 +143,12 @@ class TestBatchedGamma:
     ], ids=["lrd-0.2", "lrd-0.5", "lrd-0.8", "fbm-0.3", "fbm-0.7",
             "band-limited", "gcd", "disjoint", "lrd-0.001"])
     def test_matches_serial_oracle(self, d_exp, grid, wavelet):
-        sums = estimate._band_sums if wavelet.is_band_limited else estimate._lattice_sums
-        g = estimate._gamma(d_exp, grid, sums(wavelet, d_exp))
+        if wavelet.is_band_limited:
+            sums = estimate._band_sums(wavelet, d_exp)
+        else:
+            size = estimate.lattice_size(grid.ratios)
+            sums = estimate._lattice_sums(wavelet, d_exp, size)
+        g = estimate._gamma(d_exp, grid, sums)
         ref = spectral_gamma(d_exp, grid, wavelet, grid.trim)
         np.testing.assert_array_equal(g == 0.0, ref == 0.0)
         tol = 1e-8 if wavelet.is_band_limited else 1e-11
@@ -156,6 +160,31 @@ class TestBatchedGamma:
         g = gamma_lrd(d_exp, grid, W3)
         monkeypatch.setattr(estimate, "_LATTICE", 2 * estimate._LATTICE)
         g2 = gamma_lrd(d_exp, grid, W3)
+        assert np.max(np.abs(g2 - g)) < 1e-10 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("r_max, size", [
+        (30, 1024), (204, 1024), (205, 2048), (409, 2048), (410, 4096), (820, 8192),
+    ])
+    def test_lattice_size_follows_the_largest_ratio(self, r_max, size):
+        grid = ScaleGrid(1, (1, r_max - 1, r_max))
+        assert estimate.lattice_size(grid.ratios) == size
+        assert estimate.quadrature_meta(grid) == {
+            "simpson_intervals": estimate._N_QUAD, "lattice_size": size
+        }
+
+    def test_doubling_the_lattice_leaves_gamma_at_large_ratios(
+        self, monkeypatch, caplog
+    ):
+        # M = 1024 misses Gamma here by about 1e-6 of max|Gamma|; the rule's
+        # M = 4096 stays within 1e-10 of a run at twice that.
+        grid = ScaleGrid(1, (1, 499, 500))
+        caplog.set_level(logging.DEBUG, logger="scalebreak")
+        g = gamma_lrd(0.8, grid, W3)
+        assert caplog.records[-1].args[0] == 4096
+        fixed = estimate._gamma(0.8, grid, estimate._lattice_sums(W3, 0.8, 1024))
+        assert np.max(np.abs(fixed - g)) > 1e-7 * np.max(np.abs(g))
+        monkeypatch.setattr(estimate, "lattice_size", lambda ratios: 8192)
+        g2 = gamma_lrd(0.8, grid, W3)
         assert np.max(np.abs(g2 - g)) < 1e-10 * np.max(np.abs(g))
 
     def test_one_table_serves_every_exponent(self, monkeypatch):
