@@ -115,9 +115,11 @@ def default_params(
     a_base, v_n, min_len and stride follow from N and the grids).  A set
     value is always read: 0 is not the default.  ``q`` is read by the
     compact-wavelet families fgn, farima and fbm, ``min_det_scale`` by fgn
-    and farima, and ``freq_band``, ``wavelet_band`` and ``trim`` by locfrac;
-    any other family refuses them when set.  Every family takes
-    ``exponent_spread``, which describes the process, but only fbm reads it.
+    and farima under the tuned profile, and ``freq_band``, ``wavelet_band``
+    and ``trim`` by locfrac; any other family or profile refuses them when
+    set.  Every family takes ``exponent_spread``, which describes the
+    process, but only fbm reads it.  The unit-step families fgn, farima and
+    fbm refuse a ``delta`` other than 1.
 
     Estimation scales follow a_N = N^(1/5+kappa) (long memory, kappa in
     (0, 2/15)) or N^(1/3+kappa) (self-similar, kappa in (0, 2/3), the
@@ -166,10 +168,13 @@ def default_params(
         raise ValidationError(f"v_n must be positive (inf for no margin), got {v_n}")
     trim = _number("trim", trim)
     exponent_spread = _number("exponent_spread", exponent_spread)
-    delta = _step(1.0 if delta is None else delta)
+    delta = _step(1.0 if delta is None else delta, family)
     notes = []
     if profile not in (None, "tuned", "classic"):
         raise ValidationError("profile must be 'tuned' or 'classic'")
+    if profile == "classic" and min_det_scale is not None:
+        # Classic runs search on the estimation grid.
+        raise ValidationError("classic runs do not read min_det_scale")
     if ell is None:
         ell = max(3, round(0.0015 * n))
     if ell < 3:

@@ -29,7 +29,6 @@ log S, and only the fits add the offsets back.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -99,14 +98,6 @@ class ScaleGrid:
 _ROUNDING_UNITS = 4096.0
 
 
-@functools.cache
-def _filter_l1(wavelet, a):
-    """sum_j |psi(j/a)| over the sampled filter of ``wavelet`` at scale a;
-    cached, because evaluating the kernels of a dense grid again for every
-    table would cost as much as the coefficients."""
-    return float(np.abs(wavelet.kernel(a)[1]).sum())
-
-
 class ScalogramTable:
     """Squared-coefficient prefix sums at every grid scale.
 
@@ -134,13 +125,15 @@ class ScalogramTable:
         for a in self.scales:
             with np.errstate(over="ignore", invalid="ignore"):
                 e = coefficients_at_scale(path, wavelet, a)
-                prefix = np.concatenate([[0.0], np.cumsum(e ** 2)])
+                prefix = np.empty(e.size + 1)
+                prefix[0] = 0.0
+                np.cumsum(np.square(e, out=e), out=prefix[1:])
             if not np.isfinite(prefix[-1]):
                 raise ValidationError(
                     f"squared wavelet coefficients overflow at scale {a:g}; "
                     "rescale the series"
                 )
-            l1 = path.delta / math.sqrt(a) * _filter_l1(wavelet, int(a))
+            l1 = path.delta / math.sqrt(a) * wavelet.kernel_l1(a)
             noise = _ROUNDING_UNITS * np.finfo(float).eps * l1 * max_abs
             if math.sqrt(prefix[-1] / e.size) < noise:
                 raise NumericError(
@@ -160,7 +153,9 @@ class ScalogramTable:
         array, updated in place: it is False where the segment has fewer
         than 2 shifts at this scale or an earlier one.  log S is z plus
         log(a / (1 - 2w)) - log(k_hi - k_lo), which only the per-segment
-        fits need (see the module docstring).
+        fits need (see the module docstring).  Floating-point errors of the
+        logs are ignored while the steps run, the caller's code between
+        them included.
         """
         k_lo = np.asarray(k_lo, dtype=float)
         k_hi = np.asarray(k_hi, dtype=float)
@@ -173,19 +168,22 @@ class ScalogramTable:
         if trim:
             length = k_hi - k_lo
             k_lo, k_hi = k_lo + trim * length, k_hi - trim * length
-        for a, prefix in zip(self.scales, self.sq_prefix):
-            p_lo = np.floor(k_lo / a).astype(np.int64)
-            p_hi = np.floor(k_hi / a).astype(np.int64)
-            # The broadcast test is skipped when even the least shift count
-            # over the bounds' extremes reaches 2.
-            if p_lo.size and p_hi.size and p_hi.min() < p_lo.max() + 2:
-                ok &= p_hi >= p_lo + 2
-            np.subtract(
-                prefix.take(p_hi, mode="clip"), prefix.take(p_lo, mode="clip"), out=z
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
+        # floor(k / a) is monotone in k, so the least shift count over the
+        # bounds' extremes is floor(min k_hi / a) - floor(max k_lo / a); a scale
+        # where it reaches 2 needs no broadcast test.
+        hi_min, lo_max = (float(k_hi.min()), float(k_lo.max())) if z.size else (0, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a, prefix in zip(self.scales, self.sq_prefix):
+                p_lo = np.floor(k_lo / a).astype(np.int64)
+                p_hi = np.floor(k_hi / a).astype(np.int64)
+                if math.floor(hi_min / a) < math.floor(lo_max / a) + 2:
+                    ok &= p_hi >= p_lo + 2
+                np.subtract(
+                    prefix.take(p_hi, mode="clip"), prefix.take(p_lo, mode="clip"),
+                    out=z,
+                )
                 np.log(z, out=z)
-            yield z, ok, p_lo, p_hi
+                yield z, ok, p_lo, p_hi
 
     def log_variance_vector(self, k_lo, k_hi):
         """Array of log S over the scale grid for the segment [k_lo, k_hi),

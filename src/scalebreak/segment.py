@@ -133,8 +133,8 @@ def cost_matrix(table, constraints, objective="plain"):
     return cands, cost
 
 
-# Cells per block of pair costs (at least one row of P): each of a block's
-# temporaries then takes 256 KB, small enough to stay in cache.
+# Cells per block of pair costs (or one row, if wider): each of a block's
+# temporaries then takes at most 256 KB, small enough to stay in cache.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -153,9 +153,12 @@ def _search(table, cands, m, min_len, gap, objective):
 
     Level 1 is the column of costs to N; levels 2..m walk the band's rows
     bottom-up in blocks of at most ``gap`` rows, so a block only reads
-    rows below it and one pass fills every level.  Greedy-left
-    reconstruction over the m rows on the optimal path gives the
-    lexicographically smallest minimizer.
+    rows below it and one pass fills every level.  A block takes as many
+    rows as keep it within ``_BLOCK_CELLS`` cells, at least one: its
+    widest row is its top one, and the band narrows toward the bottom, so
+    the blocks grow as the rows descend.  The block size changes no cost
+    and no minimum.  Greedy-left reconstruction over the m rows on the
+    optimal path gives the lexicographically smallest minimizer.
     """
     p = cands.size
 
@@ -167,10 +170,13 @@ def _search(table, cands, m, min_len, gap, objective):
     end = p - gap
     suffix = np.full((m + 1, p), np.inf)
     suffix[1, gap:end] = costs(cands[gap:end], cands[-1])
-    rows = max(1, min(gap, _BLOCK_CELLS // p))
     r1 = end - gap if m >= 2 else gap
     while r1 > gap:
-        r0 = max(r1 - rows, gap)
+        # The most rows r whose top row, of width w + r, keeps the block
+        # within _BLOCK_CELLS: the largest r with r * (w + r) <= _BLOCK_CELLS.
+        w = end - gap - r1
+        rows = (math.isqrt(w * w + 4 * _BLOCK_CELLS) - w) // 2
+        r0 = max(r1 - min(max(rows, 1), gap), gap)
         c0 = r0 + gap
         block = costs(cands[r0:r1, None], cands[None, c0:end])
         for j in range(2, m + 1):

@@ -90,11 +90,14 @@ def _number(name, value, kind=float):
     return number
 
 
-def _step(delta):
-    """The sampling step: a finite, positive float."""
+def _step(delta, family):
+    """The sampling step of ``family``: a finite, positive float, and 1 for
+    the unit-step families."""
     delta = _number("delta", delta)
     if not 0.0 < delta < math.inf:
         raise ValidationError(f"delta must be finite and positive, got {delta}")
+    if family in UNIT_STEP_FAMILIES and delta != 1.0:
+        raise ValidationError(f"family {family.value} is sampled at delta = 1")
     return delta
 
 
@@ -337,9 +340,7 @@ def simulate_piecewise(spec, n, delta=1.0, seed=None):
     """
     spec = spec if isinstance(spec, PiecewiseSpec) else PiecewiseSpec(**spec)
     n = int(n)
-    delta = _step(delta)
-    if spec.family in UNIT_STEP_FAMILIES and delta != 1.0:
-        raise ValidationError(f"family {spec.family.value} is sampled at delta = 1")
+    delta = _step(delta, spec.family)
     bounds = segment_bounds(n, spec.tau_stars)
     if any(hi - lo < 2 for lo, hi in bounds):
         raise ValidationError("every segment must contain at least 2 points")

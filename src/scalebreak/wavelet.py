@@ -23,6 +23,11 @@ coefficients are one matrix-vector product; a band-limited kernel spans
 many blocks, so the path is convolved with it through numpy's real FFT at
 the smallest 5-smooth length (2^i 3^j 5^k) that holds the full linear
 convolution.
+
+Each wavelet keeps the sampled kernel of every scale it has been asked
+for, read-only, with its l1 norm, for its own lifetime: a dense detection
+grid asks for hundreds of scales on every path, and the taps of a grid up
+to scale 500 take about 1 MB.
 """
 
 from __future__ import annotations
@@ -59,7 +64,31 @@ def _beta5(n):
     return 24.0 / ((n + 1.0) * (n + 2.0) * (n + 3.0) * (n + 4.0) * (n + 5.0))
 
 
-class CompactPolyWavelet:
+class _SampledKernels:
+    """Sampled kernels cached per integer scale; a subclass gives the sample
+    offsets j of its kernel in ``_offsets(a)``."""
+
+    def kernel(self, a):
+        """Sampled kernel psi(j/a) at integer scale a, and the index of
+        j = 0 in it (cached, read-only)."""
+        return self._sampled(a)[:2]
+
+    def kernel_l1(self, a):
+        """sum_j |psi(j/a)| over the sampled kernel at integer scale a
+        (cached with the kernel)."""
+        return self._sampled(a)[2]
+
+    def _sampled(self, a):
+        a = int(a)
+        if a not in self._kernel_cache:
+            j_zero, j = self._offsets(a)
+            taps = self.evaluate(j / a)
+            taps.flags.writeable = False
+            self._kernel_cache[a] = (j_zero, taps, float(np.abs(taps).sum()))
+        return self._kernel_cache[a]
+
+
+class CompactPolyWavelet(_SampledKernels):
     """psi(t) = t^2 (1-t)^2 Q(t) on [0,1] with q vanishing moments, unit L2 norm.
 
     Q is proportional to the shifted Jacobi polynomial
@@ -72,6 +101,7 @@ class CompactPolyWavelet:
     def __init__(self, q_coeffs, q):
         self.q = int(q)
         self.q_coeffs = np.asarray(q_coeffs, dtype=float)
+        self._kernel_cache = {}
         # Full polynomial coefficients of psi in the monomial basis:
         # t^2 (1-t)^2 = t^2 - 2 t^3 + t^4.
         window = np.array([0.0, 0.0, 1.0, -2.0, 1.0])
@@ -100,11 +130,9 @@ class CompactPolyWavelet:
         out[inside] = window * np.polynomial.polynomial.polyval(ts, self.q_coeffs)
         return out if out.ndim else float(out)
 
-    def kernel(self, a):
-        """Sampled kernel psi(j/a) for j = 0..a-1 at integer scale a, and
-        the index of j = 0 in it."""
-        a = int(a)
-        return 0, self.evaluate(np.arange(a) / a)
+    def _offsets(self, a):
+        """j = 0..a-1, and the index 0 of j = 0."""
+        return 0, np.arange(a)
 
     def moment(self, r):
         """int_0^1 t^r psi(t) dt, exact from the Beta-function table."""
@@ -134,7 +162,7 @@ class CompactPolyWavelet:
         return out if out.ndim else out[()]
 
 
-class BandLimitedWavelet:
+class BandLimitedWavelet(_SampledKernels):
     """Real even wavelet with psi_hat supported on [-mu,-lam] u [lam,mu].
 
     psi_hat is the squared-Hann taper A sin^4(pi (|xi|-lam)/w), w = mu - lam.
@@ -200,15 +228,10 @@ class BandLimitedWavelet:
         out = self._bump(np.abs(np.atleast_1d(xi))).astype(complex)
         return out[0] if scalar else out
 
-    def kernel(self, a):
-        """Sampled kernel psi(j/a) for j = -J..J at integer scale a, and
-        the index J of j = 0 in it (cached)."""
-        a = int(a)
-        if a not in self._kernel_cache:
-            j_half = int(math.ceil(a * self.support_radius))
-            j = np.arange(-j_half, j_half + 1)
-            self._kernel_cache[a] = (j_half, self.evaluate(j / a))
-        return self._kernel_cache[a]
+    def _offsets(self, a):
+        """j = -J..J over the support radius, and the index J of j = 0."""
+        j_half = int(math.ceil(a * self.support_radius))
+        return j_half, np.arange(-j_half, j_half + 1)
 
 
 def make_compact_poly(q):

@@ -32,6 +32,10 @@ REFUSED = {
 }
 
 
+# The unit-step families take only delta = 1; OTHER's 0.5 is refused.
+UNIT_STEP = {(family, "delta") for family in ("fgn", "farima", "fbm")}
+
+
 def base(family):
     return {"ell": 7, **(BAND if family == "locfrac" else {})}
 
@@ -51,6 +55,10 @@ def test_every_option_is_read_or_refused(family, name):
     kwargs = {**base(family), name: value}
     if (family, name) in REFUSED:
         with pytest.raises(ValidationError, match=f"{family} runs do not read {name}"):
+            default_params(family, N, **kwargs)
+        return
+    if (family, name) in UNIT_STEP:
+        with pytest.raises(ValidationError, match=f"{family} is sampled at delta = 1"):
             default_params(family, N, **kwargs)
         return
     params = default_params(family, N, **kwargs)
@@ -95,4 +103,43 @@ def test_refused_pair_exits_2_through_the_cli(tmp_path, capsys, family, name):
     argv = ["detect", "--family", family, *flags, "--input", series, "--out", out]
     assert main([str(a) for a in argv]) == 2
     assert f"{family} runs do not read {name}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["fgn", "farima"])
+def test_classic_profile_refuses_min_det_scale(family):
+    # Classic runs search on the estimation grid and never read it.
+    with pytest.raises(ValidationError, match="classic runs do not read min_det_scale"):
+        default_params(family, N, profile="classic", min_det_scale=9)
+
+
+def test_classic_min_det_scale_exits_2_through_the_cli(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    np.savetxt(series, np.random.default_rng(6).normal(size=2001))
+    out = tmp_path / "res.json"
+    argv = ["detect", "--family", "fgn", "--profile", "classic", "--min-det-scale",
+            "9", "--input", series, "--out", out]
+    assert main([str(a) for a in argv]) == 2
+    assert "classic runs do not read min_det_scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["fgn", "farima", "fbm"])
+@pytest.mark.parametrize("time_column", [False, True])
+def test_unit_step_family_refuses_half_step_through_the_cli(
+    tmp_path, capsys, family, time_column
+):
+    # A --delta flag on a one-column CSV, or a time column stepping 0.5.
+    x = np.random.default_rng(7).normal(size=2001)
+    series = tmp_path / "series.csv"
+    if time_column:
+        np.savetxt(series, np.column_stack([0.5 * np.arange(x.size), x]), delimiter=",")
+        flags = []
+    else:
+        np.savetxt(series, x)
+        flags = ["--delta", "0.5"]
+    out = tmp_path / "res.json"
+    argv = ["detect", "--family", family, *flags, "--input", series, "--out", out]
+    assert main([str(a) for a in argv]) == 2
+    assert f"family {family} is sampled at delta = 1" in capsys.readouterr().err
     assert not out.exists()

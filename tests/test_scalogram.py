@@ -65,6 +65,17 @@ class TestScaleGrid:
         np.testing.assert_allclose(g.scales, [8.0, 16.0, 32.0])
 
 
+# Tables on 600 samples, scales 16..96, one per trim fraction.
+TRIM_TABLES = {
+    trim: ScalogramTable(
+        SampledPath(values=np.random.default_rng(14).normal(size=601)),
+        make_band_limited(2.0, 3.0) if trim else make_compact_poly(3),
+        ScaleGrid(16, (1, 2, 3, 5, 6), trim=trim),
+    )
+    for trim in (0.0, 0.1, 0.3)
+}
+
+
 class TestSegVariance:
     def test_prefactor_exact_for_constant_squares(self):
         # All e^2 equal v => S = v * (count * a) / (k' - k).
@@ -108,6 +119,31 @@ class TestSegVariance:
         table = ScalogramTable(path, w, ScaleGrid(64, (1, 2, 3)))
         *_, (_, ok, _, _) = table.log_variances(0, np.array([200, 512]))
         assert ok.tolist() == [False, True]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        trim=st.sampled_from([0.0, 0.1, 0.3]),
+        hi_from=st.sampled_from([301, 500]),
+    )
+    def test_mask_is_the_shift_count_rule(self, seed, trim, hi_from):
+        # The mask after each scale against the definition on every pair.
+        # With hi_from = 301 the bounds' least span, 1, falls below twice
+        # every scale, so every pair is tested; with 500 it is 200, and
+        # untrimmed no pair is short at scales up to 16 * 6.
+        rng = np.random.default_rng(seed)
+        table = TRIM_TABLES[trim]
+        k_lo = np.sort(rng.integers(0, 301, size=(7, 1)), axis=0).astype(float)
+        k_hi = rng.integers(hi_from, 601, size=(1, 9)).astype(float)
+        k_lo[-1, 0], k_hi[0, 0] = 300.0, hi_from
+        length = k_hi - k_lo
+        lo, hi = k_lo + trim * length, k_hi - trim * length
+        expected = np.ones((7, 9), dtype=bool)
+        for a, (_, ok, _, _) in zip(table.scales, table.log_variances(k_lo, k_hi)):
+            expected &= np.floor(hi / a) - np.floor(lo / a) >= 2
+            np.testing.assert_array_equal(ok, expected)
+        if not trim:
+            assert expected.all() == (hi_from == 500)
 
     def test_shift_window_bounds_verbatim(self):
         # The shift set must be [k/a] .. [k'/a]-1 exactly.

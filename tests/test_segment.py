@@ -279,6 +279,30 @@ class TestReachableBand:
             }
             assert band <= seen
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("objective", ["plain", "stabilized"])
+    def test_block_size_changes_nothing(self, m, objective, monkeypatch):
+        # One row per block, the default (blocks of 15 to 75 rows here), and
+        # blocks of gap rows over the whole band give the same result.
+        path = random_path(3000, 80 + m)
+        cons = SegmentationConstraints(m=m, min_len=150, candidate_stride=2)
+        table = ScalogramTable(path, W3, GRID)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls[-1] += 1
+            return _pair_costs(*args, **kwargs)
+
+        monkeypatch.setattr(segment, "_pair_costs", counting)
+        results = []
+        for cells in (1, segment._BLOCK_CELLS, 1 << 40):
+            monkeypatch.setattr(segment, "_BLOCK_CELLS", cells)
+            calls.append(0)
+            res = detect(path, W3, GRID, cons, table=table, objective=objective)
+            results.append((res.k_hat, res.g_min))
+        assert results[0] == results[1] == results[2]
+        assert calls[0] > calls[1] > calls[2]
+
     def test_zero_variance_stretch_is_infinite_and_silent(self):
         rng = np.random.default_rng(70)
         vals = rng.normal(size=self.N + 1)

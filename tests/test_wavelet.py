@@ -88,6 +88,16 @@ class TestCompactPoly:
         with pytest.raises(ValidationError):
             make_compact_poly(1)
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+    def test_cached_kernel_is_evaluate_and_read_only(self, q):
+        w = make_compact_poly(q)
+        for a in range(1, 601):
+            j_zero, taps = w.kernel(a)
+            assert j_zero == 0 and not taps.flags.writeable
+            np.testing.assert_array_equal(taps, w.evaluate(np.arange(a) / a))
+            assert w.kernel(float(a))[1] is taps
+            assert w.kernel_l1(a) == float(np.abs(taps).sum())
+
 
 class TestPsiHat:
     def test_zero_frequency_vanishes(self):
@@ -166,6 +176,16 @@ class TestBandLimited:
         # Where |psi| last exceeds 1e-8 of its peak on the 0.25 scan grid;
         # the kernel lengths of every scale follow from it.
         assert make_band_limited(2.0, 3.0).support_radius == 255.25
+
+    def test_cached_kernel_is_evaluate_and_read_only(self):
+        w = make_band_limited(2.0, 3.0)
+        for a in (1, 4, 10, 97):
+            j_zero, taps = w.kernel(a)
+            j = np.arange(taps.size) - j_zero
+            assert j[-1] == -j[0] and not taps.flags.writeable
+            np.testing.assert_array_equal(taps, w.evaluate(j / a))
+            assert w.kernel(float(a))[1] is taps
+            assert w.kernel_l1(a) == float(np.abs(taps).sum())
 
 
 class TestCoeff:
