@@ -192,10 +192,6 @@ def _segment_dict(fit, ci_level):
 
 def cmd_detect(cfg):
     path = read_series_csv(cfg["input"], cfg.get("delta"))
-    if cfg.get("n") and cfg["n"] != path.n:
-        raise ValidationError(
-            f"config n={cfg['n']} but the input series has N={path.n}"
-        )
     cfg = dict(cfg, n=path.n, delta=path.delta)
     chash = config_hash(cfg)
     params = _params_from_config(cfg)
@@ -206,7 +202,6 @@ def cmd_detect(cfg):
         "schema": SCHEMA,
         "command": "detect",
         "config_hash": chash,
-        "seed": cfg.get("seed"),
         "n": res.n,
         "delta": path.delta,
         "m": res.m,
@@ -223,7 +218,7 @@ def cmd_detect(cfg):
         json.dump(payload, fh, indent=2, sort_keys=True)
     plot_name = out.rsplit(".", 1)[0] + "_scalogram.csv"
     with open(plot_name, "w", newline="") as fh:
-        fh.write(f"# config_hash={chash} seed={cfg.get('seed')}\n")
+        fh.write(f"# config_hash={chash}\n")
         writer = csv.writer(fh)
         writer.writerow(
             ["segment", "scale_index", "log_scale", "log_variance", "fitted"]
@@ -282,18 +277,18 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Each command takes only the flags it reads: the common ones, the process
-    # (simulate, montecarlo) and the run parameters (detect, montecarlo).
+    # Each command takes only the flags it reads: the common ones, the
+    # simulated process (simulate, montecarlo) and the run parameters (detect,
+    # montecarlo).  detect reads N from its input, and the others m from tau.
     common, process, run = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--family", choices=[f.value for f in Family])
-    common.add_argument("--m", type=int)
-    common.add_argument("--n", type=int)
-    common.add_argument("--seed", type=int)
     common.add_argument("--out")
     common.add_argument("--delta", type=float)
     common.add_argument("--exponents", type=float, nargs="*")
     common.add_argument("--band", type=float, nargs=2, metavar=("FMIN", "FMAX"))
+    process.add_argument("--n", type=int)
+    process.add_argument("--seed", type=int)
     process.add_argument("--tau", type=float, nargs="*")
     process.add_argument("--sigmas", type=float, nargs="*")
     run.add_argument("--ell", type=int)
@@ -312,14 +307,17 @@ def build_parser():
                           " protection, e.g. 20, for trended data)")
     run.add_argument("--profile", choices=["tuned", "classic"])
 
-    sub.add_parser("simulate", parents=[common, process],
+    # No abbreviations: a flag that a command does not take exits 2 by its
+    # own name instead of matching another flag's prefix (--m, --min-len).
+    sub.add_parser("simulate", parents=[common, process], allow_abbrev=False,
                    help="simulate a piecewise path to CSV")
-    p_det = sub.add_parser("detect", parents=[common, run],
+    p_det = sub.add_parser("detect", parents=[common, run], allow_abbrev=False,
                            help="detect change points in a CSV series")
+    p_det.add_argument("--m", type=int)
     p_det.add_argument("--input", help="input CSV (one value/line or t,x)")
     p_det.add_argument("--ci-level", dest="ci_level", type=float)
     p_mc = sub.add_parser("montecarlo", parents=[common, process, run],
-                          help="replicate simulate+detect")
+                          allow_abbrev=False, help="replicate simulate+detect")
     p_mc.add_argument("--reps", type=int)
     p_mc.add_argument("--fgls", action="store_true", default=None)
     return parser
@@ -371,9 +369,8 @@ def _merge_config(args):
             raise ValidationError(f"{key} must be a file name, got {cfg[key]!r}")
     if not isinstance(cfg.get("fgls", False), bool):
         raise ValidationError(f"fgls must be true or false, got {cfg['fgls']!r}")
-    m = len(cfg.get("tau", ()))  # simulate and montecarlo take m from tau
-    if "tau" in flags and cfg.setdefault("m", m) != m:
-        raise ValidationError(f"m={cfg['m']} but tau holds {m} change fractions")
+    if "tau" in flags:  # simulate and montecarlo
+        cfg["m"] = len(cfg.get("tau", ()))
     return cfg
 
 

@@ -27,7 +27,8 @@ routes differ only in S_pq and the normalization N:
 
   By Parseval S_pq = (pi/2) int_0^{2 pi} |F|^2, with F the 2 pi-
   periodization of A's integrand g extended to eta < 0 as conj(g).
-  Compact wavelets sample F on the lattice 2 pi n / M (M = 1024) from one
+  Compact wavelets sample F on the lattice 2 pi n / M (M from
+  :func:`lattice_size`: 1024, or more for a large scale ratio) from one
   closed-form psi_hat table that every D shares, each D cutting it where
   an integration-by-parts bound leaves at most 1e-10 of J.  Band-limited
   wavelets need mu <= pi: g then lies in (0, pi], nothing folds, and

@@ -347,20 +347,14 @@ def analyze(path, params, with_fgls=True, ci_level=0.95):
             f"path sampled at delta={path.delta:g} but the parameters were "
             f"chosen for delta={params.delta:g}"
         )
-    shared = params.det_grid == params.grid  # locfrac, profile="classic"
-    table = ScalogramTable(path, params.wavelet, params.grid) if shared else None
-    result = detect(
-        path,
-        params.wavelet,
-        params.det_grid,
-        params.constraints,
-        table=table,
-        objective=params.det_objective,
-    )
+    table = ScalogramTable(path, params.wavelet, params.det_grid)
+    result = detect(table, params.constraints, params.det_objective)
     windows, margin, clamped = _windows(
         result.k_hat, result.n, params.v_n, _keep(params.grid)
     )
-    if table is None:
+    if params.grid != params.det_grid:  # all but locfrac and profile="classic"
+        # Freed first, so that the two tables are never held at once.
+        del table
         table = ScalogramTable(path, params.wavelet, params.grid)
     design = design_matrix(params.grid)
     gamma_fn = make_gamma(params.family, params.grid, params.wavelet)

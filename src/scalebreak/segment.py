@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .scalogram import ScalogramTable
+# Not used here: the benchmark's tracer (perfbench/tracer.py) wraps this name.
+from .scalogram import ScalogramTable  # noqa: F401
 
 __all__ = [
     "SegmentationConstraints",
@@ -54,16 +55,20 @@ class SegmentationConstraints:
 
 @dataclass(frozen=True)
 class ChangePointResult:
-    """Estimated change instants (sample indices), fractions and contrast value."""
+    """Estimated change instants (sample indices) and contrast value."""
 
     k_hat: tuple
-    tau_hat: tuple
     g_min: float
     n: int
 
     @property
     def m(self):
         return len(self.k_hat)
+
+    @property
+    def tau_hat(self):
+        """The change fractions k_hat / n."""
+        return tuple(k / self.n for k in self.k_hat)
 
 
 def _pair_costs(table, k_lo, k_hi, min_len, objective="plain"):
@@ -195,17 +200,15 @@ def _search(table, cands, m, min_len, gap, objective):
     return float(g), picks[1:]
 
 
-def detect(path, wavelet, grid, constraints, table=None, objective="plain"):
-    """Globally minimize the contrast over the candidate grid.
+def detect(table, constraints, objective="plain"):
+    """Globally minimize the contrast over the candidate grid of ``table``,
+    the scalogram of one path on the detection grid, which also gives N.
 
     ``objective`` selects the segment cost ("plain" is the sum of
     unweighted regression residuals; "stabilized" the precision-weighted,
     length-scaled variant -- see :func:`_pair_costs`).  Returns the
-    estimated instants (sample indices), the fractions tau_hat = k_hat / N
-    and the attained cost.
+    estimated instants (sample indices) and the attained cost.
     """
-    if table is None:
-        table = ScalogramTable(path, wavelet, grid)
     n = table.n
     m, min_len = constraints.m, constraints.min_len
     stride = constraints.candidate_stride
@@ -218,11 +221,4 @@ def detect(path, wavelet, grid, constraints, table=None, objective="plain"):
     g, picks = _search(table, cands.astype(float), m, min_len, gap, objective)
     if not np.isfinite(g):
         raise ValidationError("no feasible segmentation under the constraints")
-    k_hat = tuple(int(cands[k]) for k in picks)
-    return ChangePointResult(
-        k_hat=k_hat,
-        tau_hat=tuple(k / n for k in k_hat),
-        g_min=g,
-        n=n,
-    )
-
+    return ChangePointResult(k_hat=tuple(int(cands[k]) for k in picks), g_min=g, n=n)

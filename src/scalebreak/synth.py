@@ -101,6 +101,16 @@ def _step(delta, family):
     return delta
 
 
+def _numbers(name, values):
+    """``values`` as a tuple of floats, each read by :func:`_number`;
+    otherwise ValidationError naming ``name``."""
+    try:
+        return tuple(float(_number(name, v)) for v in values)
+    except TypeError:  # not a sequence, or a None in it
+        raise ValidationError(
+            f"{name} must be a sequence of numbers, got {values!r}") from None
+
+
 def _band(name, band):
     """(lo, hi) as floats; a band must be two finite numbers with
     0 < lo < hi."""
@@ -131,10 +141,10 @@ class PiecewiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", _family(self.family))
-        object.__setattr__(self, "tau_stars", tuple(float(t) for t in self.tau_stars))
-        object.__setattr__(self, "exponents", tuple(float(e) for e in self.exponents))
+        object.__setattr__(self, "tau_stars", _numbers("tau_stars", self.tau_stars))
+        object.__setattr__(self, "exponents", _numbers("exponents", self.exponents))
         sigmas = self.sigmas if self.sigmas is not None else (1.0,) * len(self.exponents)
-        object.__setattr__(self, "sigmas", tuple(float(s) for s in sigmas))
+        object.__setattr__(self, "sigmas", _numbers("sigmas", sigmas))
         taus = self.tau_stars
         if any(not 0.0 < t < 1.0 for t in taus):
             raise ValidationError("change fractions must lie strictly inside (0,1)")
@@ -229,7 +239,7 @@ def farima_autocov(d, sigma2, k):
     return out if out.ndim else float(out)
 
 
-def simulate_stationary(autocov, n, seed=None, *, rng=None):
+def simulate_stationary(autocov, n, seed=None):
     """Draw an exact zero-mean stationary Gaussian vector of length ``n``.
 
     ``autocov`` maps an array of lags to covariances.  The sample is built
@@ -242,14 +252,13 @@ def simulate_stationary(autocov, n, seed=None, *, rng=None):
         Lag -> covariance, evaluated on 0..n.
     n : int
         Output length, at least 2.
-    seed : int, optional
-        Ignored when an explicit generator ``rng`` is supplied.
+    seed : int, numpy.random.Generator or None
+        The seed of a new generator, or the generator to draw from.
     """
-    n = int(n)
-    if n < 2:
+    n = _number("n", n, int)
+    if n is None or n < 2:
         raise ValidationError("need n >= 2")
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     r = np.asarray(autocov(np.arange(n + 1)), dtype=float)
     if r.shape != (n + 1,) or not np.all(np.isfinite(r)):
         raise ValidationError("autocov must return finite values for lags 0..n")
@@ -338,31 +347,31 @@ def simulate_piecewise(spec, n, delta=1.0, seed=None):
     exact fGn increments starting from 0; locfrac segments come from
     spectral synthesis.  Returns a :class:`SampledPath` with n+1 values.
     """
-    spec = spec if isinstance(spec, PiecewiseSpec) else PiecewiseSpec(**spec)
-    n = int(n)
+    n = _number("n", n, int)
     delta = _step(delta, spec.family)
     bounds = segment_bounds(n, spec.tau_stars)
     if any(hi - lo < 2 for lo, hi in bounds):
         raise ValidationError("every segment must contain at least 2 points")
-    if seed is not None and not seed >= 0:
+    seed = _number("seed", seed, int)
+    if seed is not None and seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     values = np.empty(n + 1)
     for (lo, hi), expo, sig in zip(bounds, spec.exponents, spec.sigmas):
         length = hi - lo
         if spec.family is Family.FGN:
             h = 0.5 * (1.0 + expo)  # D = 2H - 1
             seg = simulate_stationary(
-                lambda k: fgn_autocov(h, sig ** 2, k), length, rng=rng
+                lambda k: fgn_autocov(h, sig ** 2, k), length, rng
             )
         elif spec.family is Family.FARIMA:
             d = 0.5 * expo  # D = 2d
             seg = simulate_stationary(
-                lambda k: farima_autocov(d, sig ** 2, k), length, rng=rng
+                lambda k: farima_autocov(d, sig ** 2, k), length, rng
             )
         elif spec.family is Family.FBM:
             inc = simulate_stationary(
-                lambda k: fgn_autocov(expo, sig ** 2, k), length - 1, rng=rng
+                lambda k: fgn_autocov(expo, sig ** 2, k), length - 1, rng
             )
             seg = np.concatenate([[0.0], np.cumsum(inc)])
         else:

@@ -249,7 +249,7 @@ def test_criterion_7_dp_equals_exhaustive():
         table = ScalogramTable(path, w, grid)
         cands, cost = cost_matrix(table, cons, objective)
         assert len(cands) <= 42
-        res = detect(path, w, grid, cons, table=table, objective=objective)
+        res = detect(table, cons, objective=objective)
         g_ex, k_ex = _exhaustive(cands, cost, m)
         assert res.g_min == g_ex, (seed, m, objective)
         assert res.k_hat == k_ex, (seed, m, objective)

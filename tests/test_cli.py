@@ -63,7 +63,7 @@ class TestDetect:
     def test_round_trip_with_simulate(self, tmp_path):
         series = tmp_path / "series.csv"
         run_cli(
-            "simulate", "--family", "fgn", "--n", "8192", "--m", "1",
+            "simulate", "--family", "fgn", "--n", "8192",
             "--tau", "0.5", "--exponents", "0.3", "0.7", "--seed", "12",
             "--out", series,
         )
@@ -175,7 +175,7 @@ class TestDetect:
         series = tmp_path / "series.csv"
         band = ["--band", "0.3", "1.2", "--delta", "0.25"]
         assert run_cli(
-            "simulate", "--family", "locfrac", "--n", "16000", "--m", "1",
+            "simulate", "--family", "locfrac", "--n", "16000",
             "--tau", "0.5", "--exponents", "0.3", "1.0", *band, "--seed", "11",
             "--out", series,
         ) == 0
@@ -238,7 +238,7 @@ class TestDetect:
             ) == 0
             chash = json.loads(out.read_text())["config_hash"]
             header = (tmp_path / f"{name}_scalogram.csv").read_text().splitlines()[0]
-            assert header.startswith(f"# config_hash={chash} ")
+            assert header == f"# config_hash={chash}"
             hashes.append(chash)
         assert hashes[0] == hashes[1] != hashes[2]
 
@@ -307,19 +307,25 @@ class TestDetect:
         with pytest.raises(ValidationError):
             read_series_csv(str(f))
 
-    def test_config_n_mismatch_rejected(self, tmp_path, capsys):
+    def test_n_and_seed_come_from_the_input(self, tmp_path):
+        # detect takes N from its input and draws nothing: a config's n and
+        # seed are read by simulate and montecarlo only.
         series = tmp_path / "series.csv"
         run_cli(
             "simulate", "--family", "fgn", "--n", "4096", "--exponents", "0.5",
             "--seed", "2", "--out", series,
         )
-        out = tmp_path / "res.json"
-        code = run_cli(
-            "detect", "--family", "fgn", "--n", "5000", "--ell", "6",
-            "--input", series, "--out", out,
-        )
-        assert code == 2
-        assert "N=4096" in capsys.readouterr().err
+        outputs = []
+        for name, extra in (("plain", {}), ("other", {"n": 5000, "seed": 9})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"family": "fgn", "ell": 6, **extra}))
+            out = tmp_path / f"res-{name}.json"
+            assert run_cli(
+                "detect", "--config", cfg, "--input", series, "--out", out
+            ) == 0
+            outputs.append(json.loads(out.read_text()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["n"] == 4096 and "seed" not in outputs[0]
 
     def test_config_band_of_one_number_exits_2(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
@@ -562,7 +568,7 @@ class TestMonteCarloCmd:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         args = [
-            "montecarlo", "--family", "fgn", "--n", "4096", "--m", "1",
+            "montecarlo", "--family", "fgn", "--n", "4096",
             "--tau", "0.5", "--exponents", "0.3", "0.7", "--ell", "6",
             "--reps", "2", "--seed", "21",
         ]
@@ -574,7 +580,7 @@ class TestMonteCarloCmd:
     def test_summary_rows_present(self, tmp_path):
         out = tmp_path / "mc.csv"
         run_cli(
-            "montecarlo", "--family", "fgn", "--n", "4096", "--m", "1",
+            "montecarlo", "--family", "fgn", "--n", "4096",
             "--tau", "0.5", "--exponents", "0.3", "0.7", "--ell", "6",
             "--reps", "3", "--seed", "1", "--out", out,
         )
@@ -604,7 +610,7 @@ class TestMonteCarloCmd:
     def test_fgls_columns_match_run_montecarlo(self, tmp_path):
         out = tmp_path / "mc.csv"
         code = run_cli(
-            "montecarlo", "--family", "fgn", "--n", "4096", "--m", "1",
+            "montecarlo", "--family", "fgn", "--n", "4096",
             "--tau", "0.5", "--exponents", "0.3", "0.7", "--ell", "6",
             "--reps", "2", "--seed", "21", "--fgls", "--out", out,
         )

@@ -15,19 +15,21 @@ from scalebreak.cli import build_parser, main
 from scalebreak.errors import ValidationError
 from scalebreak.synth import _number
 
-COMMON = {"config", "family", "m", "n", "seed", "out", "delta", "exponents", "band"}
-PROCESS = {"tau", "sigmas"}
+COMMON = {"config", "family", "out", "delta", "exponents", "band"}
+PROCESS = {"n", "seed", "tau", "sigmas"}
 RUN = {
     "ell", "kappa", "q", "wavelet_band", "trim", "a_base", "v_n", "min_len",
     "stride", "min_det_scale", "profile",
 }
 OPTIONS = {
     "simulate": COMMON | PROCESS,
-    "detect": COMMON | RUN | {"input", "ci_level"},
+    "detect": COMMON | RUN | {"m", "input", "ci_level"},
     "montecarlo": COMMON | PROCESS | RUN | {"reps", "fgls"},
 }
 
-# Flags that each command accepted and ignored before it took only its own.
+# Flags that each command accepted and ignored, or that only repeated
+# another input (m is the length of tau, and detect's N that of its input),
+# before it took only its own.
 DROPPED = [
     ("simulate", ["--ell", "6"]),
     ("simulate", ["--kappa", "0.05"]),
@@ -44,6 +46,10 @@ DROPPED = [
     ("detect", ["--tau", "0.5"]),
     ("detect", ["--sigmas", "1"]),
     ("montecarlo", ["--ci-level", "0.9"]),
+    ("simulate", ["--m", "1"]),
+    ("montecarlo", ["--m", "1"]),
+    ("detect", ["--n", "2000"]),
+    ("detect", ["--seed", "1"]),
 ]
 
 FGN = {"family": "fgn", "n": 2000, "tau": [0.5], "exponents": [0.3, 0.7], "ell": 6,
@@ -103,7 +109,7 @@ def test_one_config_serves_every_command(tmp_path):
     # The keys another command reads leave each command's hash as it is.
     own = {
         "simulate": ("family", "n", "tau", "exponents", "seed"),
-        "detect": ("family", "n", "exponents", "seed", "ell", "ci_level"),
+        "detect": ("family", "exponents", "ell", "ci_level"),
         "montecarlo": ("family", "n", "tau", "exponents", "seed", "ell", "reps", "fgls"),
     }
     cfg = {**FGN, "ci_level": 0.9, "fgls": False}
@@ -118,14 +124,23 @@ def test_one_config_serves_every_command(tmp_path):
 @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
 @pytest.mark.parametrize("m", [0, 2])
 def test_m_that_disagrees_with_tau_exits_2(tmp_path, capsys, command, m):
-    code = run_cli(
-        command, "--family", "fgn", "--n", "2000", "--m", m, "--tau", "0.5",
-        "--exponents", "0.3", "0.7", "--out", tmp_path / "out.csv",
-    )
-    assert code == 2
-    assert f"m={m} but tau holds 1 change fractions" in capsys.readouterr().err
-    cfg = write_config(tmp_path / "cfg.json", {**FGN, "m": m})
-    assert run_cli(command, "--config", cfg, "--out", tmp_path / "out.csv") == 2
+    # m is the length of tau: an --m flag exits 2, and a config's m, which
+    # only detect reads, changes neither the run nor its hash.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--family", "fgn", "--n", "2000", "--m", m, "--tau", "0.5",
+                "--exponents", "0.3", "0.7", "--out", tmp_path / "out.csv")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --m" in capsys.readouterr().err
+    outputs = []
+    for name, cfg in (("with-m", {**FGN, "m": m}), ("without-m", FGN)):
+        out = tmp_path / f"{name}.csv"
+        config = write_config(tmp_path / f"{name}.json", cfg)
+        assert run_cli(command, "--config", config, "--out", out) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    if command == "simulate":
+        meta = json.loads((tmp_path / "with-m.csv.meta.json").read_text())
+        assert meta["config"]["m"] == 1
 
 
 def test_montecarlo_m_follows_tau(tmp_path):
@@ -152,7 +167,7 @@ def run_config(tmp_path, command, cfg):
 @pytest.mark.parametrize("cfg, message", [
     ({"family": "3"}, "family must be one of fgn, farima, fbm, locfrac, got '3'"),
     ({"family": ["fgn"]}, "family must be one of fgn, farima, fbm, locfrac, got ['fgn']"),
-    ({"seed": True}, "seed must be a number, got True"),
+    ({"delta": True}, "delta must be a number, got True"),
     ({"out": 3}, "out must be a file name, got 3"),
 ])
 def test_config_value_exits_2_on_every_command(tmp_path, capsys, command, cfg, message):
@@ -183,6 +198,8 @@ def test_config_value_exits_2_on_every_command(tmp_path, capsys, command, cfg, m
     ("montecarlo", {**LOCFRAC, "band": [1e-300, 1e-299]},
      "band puts scales past N=2000 at delta=0.25"),
     ("detect", {**LOCFRAC, "delta": 5e-324}, "band puts scales past N=2000"),
+    ("simulate", {"seed": True}, "seed must be a number, got True"),
+    ("montecarlo", {"seed": True}, "seed must be a number, got True"),
 ])
 def test_config_value_exits_2(tmp_path, capsys, command, cfg, message):
     assert run_config(tmp_path, command, cfg) == 2

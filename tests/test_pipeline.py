@@ -207,7 +207,6 @@ class TestAnalyze:
     ], ids=["locfrac", "classic", "tuned"])
     def test_one_table_per_grid(self, monkeypatch, family, kwargs):
         import scalebreak.pipeline as pipeline
-        import scalebreak.segment as segment
 
         built = []
 
@@ -216,8 +215,7 @@ class TestAnalyze:
                 built.append(grid)
                 super().__init__(path, wavelet, grid)
 
-        for module in (pipeline, segment):
-            monkeypatch.setattr(module, "ScalogramTable", CountingTable)
+        monkeypatch.setattr(pipeline, "ScalogramTable", CountingTable)
         params = default_params(family, 8000, **kwargs)
         spec = PiecewiseSpec(
             family=family, exponents=(0.6,), freq_band=kwargs.get("freq_band")

@@ -94,7 +94,7 @@ class TestDetect:
     def test_m0_returns_empty(self):
         path = random_path(512, 4)
         cons = SegmentationConstraints(m=0, min_len=64, candidate_stride=4)
-        res = detect(path, W3, GRID, cons)
+        res = detect(ScalogramTable(path, W3, GRID), cons)
         assert res.k_hat == () and res.tau_hat == ()
         assert res.g_min >= 0.0
 
@@ -108,7 +108,7 @@ class TestDetect:
         for objective in ("plain", "stabilized"):
             cands, cost = cost_matrix(table, cons, objective)
             assert len(cands) <= 42
-            res = detect(path, W3, GRID, cons, table=table, objective=objective)
+            res = detect(table, cons, objective=objective)
             g_ex, k_ex = exhaustive_minimum(cands, cost, m)
             assert res.g_min == g_ex
             assert res.k_hat == k_ex
@@ -116,8 +116,8 @@ class TestDetect:
     def test_m1_fast_path_matches_exhaustive(self):
         path = random_path(640, 21)
         cons = SegmentationConstraints(m=1, min_len=48, candidate_stride=16)
-        res = detect(path, W3, GRID, cons)
         table = ScalogramTable(path, W3, GRID)
+        res = detect(table, cons)
         cands, cost = cost_matrix(table, cons, "plain")
         g_ex, k_ex = exhaustive_minimum(cands, cost, 1)
         assert res.g_min == g_ex
@@ -126,7 +126,7 @@ class TestDetect:
     def test_detect_value_agrees_with_contrast(self):
         path = random_path(640, 22)
         cons = SegmentationConstraints(m=1, min_len=48, candidate_stride=16)
-        res = detect(path, W3, GRID, cons)
+        res = detect(ScalogramTable(path, W3, GRID), cons)
         assert contrast(path, W3, GRID, list(res.k_hat)) == pytest.approx(
             res.g_min, rel=1e-9
         )
@@ -137,8 +137,8 @@ class TestDetect:
         table = ScalogramTable(path, W3, GRID)
         coarse = SegmentationConstraints(m=1, min_len=48, candidate_stride=32)
         fine = SegmentationConstraints(m=1, min_len=48, candidate_stride=16)
-        g_coarse = detect(path, W3, GRID, coarse).g_min
-        g_fine = detect(path, W3, GRID, fine).g_min
+        g_coarse = detect(table, coarse).g_min
+        g_fine = detect(table, fine).g_min
         assert g_fine <= g_coarse + 1e-12
 
     def test_tau_strictly_increasing(self):
@@ -147,7 +147,7 @@ class TestDetect:
         )
         path = simulate_piecewise(spec, 2048, seed=5)
         cons = SegmentationConstraints(m=2, min_len=128, candidate_stride=16)
-        res = detect(path, W3, GRID, cons)
+        res = detect(ScalogramTable(path, W3, GRID), cons)
         taus = res.tau_hat
         assert all(0.0 < t < 1.0 for t in taus)
         assert all(b > a for a, b in zip(taus, taus[1:]))
@@ -156,13 +156,13 @@ class TestDetect:
         path = random_path(256, 6)
         cons = SegmentationConstraints(m=3, min_len=100, candidate_stride=8)
         with pytest.raises(ValidationError):
-            detect(path, W3, GRID, cons)
+            detect(ScalogramTable(path, W3, GRID), cons)
 
     def test_unknown_objective(self):
         path = random_path(256, 7)
         cons = SegmentationConstraints(m=1, min_len=32, candidate_stride=8)
         with pytest.raises(ValidationError):
-            detect(path, W3, GRID, cons, objective="bogus")
+            detect(ScalogramTable(path, W3, GRID), cons, objective="bogus")
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -171,7 +171,7 @@ class TestDetect:
         cons = SegmentationConstraints(m=2, min_len=64, candidate_stride=32)
         table = ScalogramTable(path, W3, GRID)
         cands, cost = cost_matrix(table, cons, "plain")
-        res = detect(path, W3, GRID, cons, table=table)
+        res = detect(table, cons)
         g_ex, _ = exhaustive_minimum(cands, cost, 2)
         assert res.g_min == g_ex
 
@@ -200,9 +200,9 @@ class TestDetect:
         g_ex, k_ex = exhaustive_minimum(cands, cost, m)
         if not np.isfinite(g_ex):
             with pytest.raises(ValidationError):
-                detect(path, wavelet, grid, cons, table=table, objective=objective)
+                detect(table, cons, objective=objective)
             return
-        res = detect(path, wavelet, grid, cons, table=table, objective=objective)
+        res = detect(table, cons, objective=objective)
         assert res.g_min == g_ex
         assert res.k_hat == k_ex
 
@@ -215,7 +215,7 @@ class TestDetect:
         p = n + 1
         tracemalloc.start()
         try:
-            detect(path, W3, GRID, cons, table=table)
+            detect(table, cons)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -238,7 +238,7 @@ class TestReachableBand:
         table = ScalogramTable(path, W3, self.GRID20)
         cands, cost = cost_matrix(table, cons, objective)
         g_ex, k_ex = exhaustive_minimum(cands, cost, m)
-        res = detect(path, W3, self.GRID20, cons, table=table, objective=objective)
+        res = detect(table, cons, objective=objective)
         assert np.isfinite(g_ex)
         assert res.g_min == g_ex
         assert res.k_hat == k_ex
@@ -262,7 +262,7 @@ class TestReachableBand:
             return _pair_costs(table, k_lo, k_hi, *args, **kwargs)
 
         monkeypatch.setattr(segment, "_pair_costs", recording)
-        res = detect(path, W3, self.GRID20, cons, table=table, objective="stabilized")
+        res = detect(table, cons, objective="stabilized")
         assert np.isfinite(res.g_min)
         for i, c in seen:
             if c == p - 1:  # a last segment
@@ -298,7 +298,7 @@ class TestReachableBand:
         for cells in (1, segment._BLOCK_CELLS, 1 << 40):
             monkeypatch.setattr(segment, "_BLOCK_CELLS", cells)
             calls.append(0)
-            res = detect(path, W3, GRID, cons, table=table, objective=objective)
+            res = detect(table, cons, objective=objective)
             results.append((res.k_hat, res.g_min))
         assert results[0] == results[1] == results[2]
         assert calls[0] > calls[1] > calls[2]
@@ -318,7 +318,7 @@ class TestReachableBand:
                 assert np.isinf(cost[0, :2]).all()
                 assert np.isfinite(cost[0, 2]) and np.isfinite(cost[1]).all()
             cons = SegmentationConstraints(m=2, min_len=150, candidate_stride=16)
-            res = detect(path, W3, self.GRID20, cons, table=table)
+            res = detect(table, cons)
         assert np.isfinite(res.g_min)
 
 
@@ -431,15 +431,15 @@ def test_stride_one_agrees_with_stride_base_on_strong_mock():
     vals = rng.normal(size=4097)
     vals[k_star:] *= 8.0  # abrupt variance jump
     path = SampledPath(values=vals)
-    grid = ScaleGrid(8, (1, 2, 3))
+    table = ScalogramTable(path, W3, ScaleGrid(8, (1, 2, 3)))
     for objective in ("plain", "stabilized"):
         fine = detect(
-            path, W3, grid,
+            table,
             SegmentationConstraints(m=1, min_len=256, candidate_stride=1),
             objective=objective,
         )
         coarse = detect(
-            path, W3, grid,
+            table,
             SegmentationConstraints(m=1, min_len=256, candidate_stride=8),
             objective=objective,
         )
@@ -449,5 +449,5 @@ def test_stride_one_agrees_with_stride_base_on_strong_mock():
 def test_candidate_stride_matches_result_field():
     path = random_path(512, 11)
     cons = SegmentationConstraints(m=0, min_len=64, candidate_stride=16)
-    res = detect(path, W3, GRID, cons)
+    res = detect(ScalogramTable(path, W3, GRID), cons)
     assert res.n == 512

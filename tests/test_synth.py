@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,11 @@ class TestSimulateStationary:
         a = simulate_stationary(lambda k: fgn_autocov(0.7, 1.0, k), 512, seed=42)
         b = simulate_stationary(lambda k: fgn_autocov(0.7, 1.0, k), 512, seed=42)
         np.testing.assert_array_equal(a, b)
+        # A generator passed as the seed is drawn from as it stands.
+        c = simulate_stationary(
+            lambda k: fgn_autocov(0.7, 1.0, k), 512, seed=np.random.default_rng(42)
+        )
+        np.testing.assert_array_equal(a, c)
 
     def test_invalid_covariance_raises(self):
         # A sequence that is not a covariance has no nonnegative embedding.
@@ -200,6 +206,21 @@ class TestSimulatePiecewise:
         spec = PiecewiseSpec(family="fgn", tau_stars=(0.001,), exponents=(0.2, 0.8))
         with pytest.raises(ValidationError):
             simulate_piecewise(spec, 100, seed=0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda spec: simulate_piecewise(spec, 100.7), "n must be an integer, got 100.7"),
+        (lambda spec: simulate_piecewise(spec, math.inf), "n must be a number, got inf"),
+        (lambda spec: simulate_piecewise(spec, 100, seed=1.5),
+         "seed must be an integer, got 1.5"),
+        (lambda spec: PiecewiseSpec("fgn", tau_stars=("abc",), exponents=(0.5, 0.5)),
+         "tau_stars must be a number, got 'abc'"),
+        (lambda spec: PiecewiseSpec("fgn", exponents=0.5),
+         "exponents must be a sequence of numbers, got 0.5"),
+    ], ids=["fractional-n", "infinite-n", "fractional-seed", "word-tau", "scalar-exponents"])
+    def test_value_that_is_not_a_number_is_refused(self, call, message):
+        spec = PiecewiseSpec(family="fgn", exponents=(0.5,))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call(spec)
 
     def test_segment_bounds_cover_all_slots(self):
         bounds = segment_bounds(100, (0.3, 0.7))
