@@ -13,7 +13,6 @@ from .errors import NumericError, ValidationError
 from .estimate import (
     GofResult,
     ThetaEstimate,
-    chi2_quantile,
     chi2_sf,
     confidence_interval,
     exponent_from_alpha,

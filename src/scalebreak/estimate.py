@@ -57,7 +57,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtri, gammaincc, ndtri
+from scipy.special import gammaincc, ndtri
 
 from .errors import NumericError, ValidationError
 from .synth import Family, _family
@@ -75,7 +75,6 @@ __all__ = [
     "make_gamma",
     "exponent_from_alpha",
     "chi2_sf",
-    "chi2_quantile",
 ]
 
 _RIDGE = 1e-8
@@ -113,13 +112,6 @@ def chi2_sf(x, df):
     """Upper tail of the chi-square distribution via the regularized
     incomplete gamma function."""
     return float(gammaincc(df / 2.0, x / 2.0))
-
-
-def chi2_quantile(level, df):
-    """Chi-square quantile: chi2_sf(chi2_quantile(q, df), df) = 1 - q."""
-    if not 0.0 < level < 1.0:
-        raise ValidationError("quantile level must lie in (0,1)")
-    return float(chdtri(df, 1.0 - level))
 
 
 def exponent_from_alpha(alpha, family):

@@ -12,12 +12,24 @@ with L = k' - k, and the prefactor a/((1 - 2w) L).  Stacking log S over a
 grid of scales gives a vector that is linear in log scale with slope equal
 to the local scaling exponent.
 
-:meth:`ScalogramTable.log_variances` is the only code that evaluates this
-rule.  It runs over arrays of segment bounds, for the change-point search,
-and :meth:`ScalogramTable.log_variance_vector` is the same call at one
-segment, for the per-segment fits.  It returns a plain array of log S, one
-entry per grid scale; the fits take the segment's effective size
-n_eff = (k' - k)/a, with a the grid's base scale, from their caller.
+Two routines map segment bounds to shift ranges and evaluate this rule.
+:meth:`ScalogramTable.log_variances` runs over arrays of segment bounds,
+for the change-point search, and :meth:`ScalogramTable.log_variance_vector`
+is the same call at one segment, for the per-segment fits.  It returns a
+plain array of log S, one entry per grid scale; the fits take the
+segment's effective size n_eff = (k' - k)/a, with a the grid's base scale,
+from their caller.
+
+:meth:`ScalogramTable.log_variance_steps` serves the search's rows and
+columns: one bound held fixed, the other running over a uniform stretch of
+candidates.  On an untrimmed grid the running bound k enters scale a only
+through its shift index floor(k/a), so along the stretch the log-sum at
+scale a is piecewise constant and changes only where floor(k/a) steps:
+about span/a times, or at every candidate when a is at most the stride.
+The step view yields the log-sum once per step instead of once per
+candidate.  A trimmed grid moves both ends of the shift range with the
+segment length, so its ranges depend on both bounds, and it keeps
+:meth:`~ScalogramTable.log_variances`.
 
 The search regresses the raw log-sums z = log sum e^2 instead of log S.
 log S = z + log(a / (1 - 2w)) - log L, and a regression residual with an
@@ -102,9 +114,11 @@ class ScalogramTable:
     """Squared-coefficient prefix sums at every grid scale.
 
     Built once per path, the table answers any segment variance in O(1) per
-    scale.  :meth:`log_variances` is the one place that maps segment bounds
-    to shift ranges; the change-point search and the per-segment fits both
-    read it.
+    scale.  :meth:`log_variances` maps any segment bounds to shift ranges,
+    for the change-point search and the per-segment fits, and
+    :meth:`log_variance_steps` maps a stretch of bounds against a fixed one
+    to the shift steps along it.  One flat array holds the prefix sums of
+    every scale, and ``sq_prefix`` views it scale by scale.
 
     A scale whose squared coefficients overflow raises
     :class:`ValidationError`.  A scale whose RMS coefficient lies below
@@ -120,12 +134,16 @@ class ScalogramTable:
         self.grid = grid
         self.n = path.n
         self.scales = grid.scales
+        # floor(N/a) + 1 prefix sums per scale, in one flat array.
+        sizes = [int(math.floor(self.n / a)) + 1 for a in self.scales]
+        self._offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        self._flat = np.empty(self._offsets[-1])
         self.sq_prefix = []
         max_abs = float(np.max(np.abs(path.values)))
-        for a in self.scales:
+        for a, lo, hi in zip(self.scales, self._offsets, self._offsets[1:]):
+            prefix = self._flat[lo:hi]
             with np.errstate(over="ignore", invalid="ignore"):
                 e = coefficients_at_scale(path, wavelet, a)
-                prefix = np.empty(e.size + 1)
                 prefix[0] = 0.0
                 np.cumsum(np.square(e, out=e), out=prefix[1:])
             if not np.isfinite(prefix[-1]):
@@ -184,6 +202,68 @@ class ScalogramTable:
                 )
                 np.log(z, out=z)
                 yield z, ok, p_lo, p_hi
+
+    def log_variance_steps(self, fixed, k0, stride, count, fixed_is_hi, cells):
+        """Yield the raw log-sums z of the segments between the bound
+        ``fixed`` and each bound k_i = k0 + i * stride, i < count, only at
+        the candidates i where z changes.  Untrimmed grids only.
+
+        ``fixed_is_hi`` says whether ``fixed`` is the upper bound; all
+        bounds lie in [0, N].  The varying bound enters scale a only through
+        its shift index floor(k_i / a), so scale a steps at every candidate
+        when a <= stride and about (k_last - k0) / a times otherwise.  The
+        steps come in chunks of whole scales, each of at most ``cells``
+        steps (at least one scale).  A chunk yields the indices of its
+        scales in the grid, their step counts, and per step, scale by
+        scale: the candidate i where the step's run starts (increasing, 0
+        first), z on the run, and ``bad``, True where the segment has fewer
+        than 2 shifts or a zero sum at that scale.  z is 0 where bad.
+        """
+        if self.grid.trim:
+            raise ValidationError("shift steps need an untrimmed grid")
+        fixed, k0, stride = int(fixed), int(k0), int(stride)
+        # Bounds and shift indices are integers below 2**53, so the float
+        # floor and ceiling of their quotients are exact, as in log_variances.
+        a = self.scales
+        dense = int(np.searchsorted(a, stride, "right"))
+        t_first = np.floor(k0 / a)
+        sizes = np.floor((k0 + (count - 1) * stride) / a) - t_first + 1
+        sizes[:dense] = count
+        sizes = sizes.astype(np.int64)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        offsets = self._offsets[:-1]
+        held_index = offsets + np.floor(fixed / a).astype(np.int64)
+        # A sparse scale's steps are its shift indices t_first, t_first + 1,
+        # ...; step e of the whole list reads prefix entry e + moving_base.
+        moving_base = offsets + t_first.astype(np.int64) - starts
+        ks = k0 + stride * np.arange(count, dtype=float)
+        s0 = 0
+        while s0 < a.size:
+            if s0 < dense:
+                s1 = min(s0 + max(cells // count, 1), dense)
+                t = np.floor(ks / a[s0:s1, None]).astype(np.int64)
+                moving = (t + offsets[s0:s1, None]).ravel()
+                pos = np.tile(np.arange(count), s1 - s0)
+            else:
+                s1 = int(np.searchsorted(ends, starts[s0] + cells, "right"))
+                s1 = max(s1, s0 + 1)
+                runs = sizes[s0:s1]
+                moving = np.arange(starts[s0], ends[s1 - 1])
+                moving += np.repeat(moving_base[s0:s1], runs)
+                # Shift index t's run starts at the first k_i >= t * a.
+                pos = moving * np.repeat(a[s0:s1], runs)
+                pos -= np.repeat(offsets[s0:s1] * a[s0:s1] + k0, runs)
+                pos /= stride
+                pos = np.maximum(np.ceil(pos, out=pos), 0.0, out=pos).astype(np.intp)
+            held = np.repeat(held_index[s0:s1], sizes[s0:s1])
+            hi, lo = (held, moving) if fixed_is_hi else (moving, held)
+            sums = self._flat.take(hi) - self._flat.take(lo)
+            bad = (hi < lo + 2) | (sums <= 0.0)
+            if bad.any():
+                sums[bad] = 1.0
+            yield np.arange(s0, s1), sizes[s0:s1], pos, np.log(sums, out=sums), bad
+            s0 = s1
 
     def log_variance_vector(self, k_lo, k_hi):
         """Array of log S over the scale grid for the segment [k_lo, k_hi),

@@ -90,6 +90,15 @@ def _number(name, value, kind=float):
     return number
 
 
+def _seed(seed):
+    """``seed`` as a nonnegative int or None; otherwise ValidationError
+    naming ``seed``."""
+    seed = _number("seed", seed, int)
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _step(delta, family):
     """The sampling step of ``family``: a finite, positive float, and 1 for
     the unit-step families."""
@@ -258,6 +267,8 @@ def simulate_stationary(autocov, n, seed=None):
     n = _number("n", n, int)
     if n is None or n < 2:
         raise ValidationError("need n >= 2")
+    if not isinstance(seed, np.random.Generator):
+        seed = _seed(seed)
     rng = np.random.default_rng(seed)
     r = np.asarray(autocov(np.arange(n + 1)), dtype=float)
     if r.shape != (n + 1,) or not np.all(np.isfinite(r)):
@@ -348,14 +359,13 @@ def simulate_piecewise(spec, n, delta=1.0, seed=None):
     spectral synthesis.  Returns a :class:`SampledPath` with n+1 values.
     """
     n = _number("n", n, int)
+    if n is None:
+        raise ValidationError("n must be a number, got None")
     delta = _step(delta, spec.family)
     bounds = segment_bounds(n, spec.tau_stars)
     if any(hi - lo < 2 for lo, hi in bounds):
         raise ValidationError("every segment must contain at least 2 points")
-    seed = _number("seed", seed, int)
-    if seed is not None and seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     values = np.empty(n + 1)
     for (lo, hi), expo, sig in zip(bounds, spec.exponents, spec.sigmas):
         length = hi - lo

@@ -10,13 +10,16 @@ lattice.  ``fbm_gamma`` builds the time-domain kernel afresh for every
 scale pair and lag and sums it one lag at a time, where the package reuses
 per-pair tables and sums lags in blocks.  ``read_series_csv`` parses a
 series CSV row by row and cell by cell, where the package's reader makes
-each pass over all cells at once.
+each pass over all cells at once.  ``chi2_quantile`` inverts the chi-square
+law for the tests' thresholds; the package itself needs only its upper tail
+(``chi2_sf``).
 """
 
 import csv
 import math
 
 import numpy as np
+from scipy.special import chdtri
 
 import scalebreak.estimate as estimate
 from scalebreak import NumericError, SampledPath, ValidationError, design_matrix
@@ -96,6 +99,13 @@ def contrast(path, wavelet, grid, ks, min_len=None):
         segment_cost(table.log_variance_vector(a, b), design)
         for a, b in zip(bounds, bounds[1:])
     )
+
+
+def chi2_quantile(level, df):
+    """Chi-square quantile: chi2_sf(chi2_quantile(q, df), df) = 1 - q."""
+    if not 0.0 < level < 1.0:
+        raise ValidationError("quantile level must lie in (0,1)")
+    return float(chdtri(df, 1.0 - level))
 
 
 def simpson_rule(lo, hi):

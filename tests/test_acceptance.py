@@ -12,13 +12,13 @@ import numpy as np
 from scipy.stats import kstest
 
 import scalebreak as sb
+from oracles import chi2_quantile
 from scalebreak import (
     PiecewiseSpec,
     ScaleGrid,
     SegmentationConstraints,
     add_polynomial_trend,
     analyze,
-    chi2_quantile,
     default_params,
     design_matrix,
     detect,

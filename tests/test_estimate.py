@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import scalebreak.estimate as estimate
-from oracles import fbm_gamma, spectral_gamma
+from oracles import chi2_quantile, fbm_gamma, spectral_gamma
 from scalebreak import (
     NumericError,
     ScaleGrid,
     ValidationError,
-    chi2_quantile,
     chi2_sf,
     confidence_interval,
     design_matrix,

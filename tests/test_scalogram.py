@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import segment_cost
@@ -172,6 +172,64 @@ class TestSegVariance:
             y = ScalogramTable(path, w, grid).log_variance_vector(0, 20000)
             slopes.append(np.polyfit(x, y, 1)[0])
         assert abs(np.mean(slopes) - 0.8) < 0.1
+
+
+class TestShiftSteps:
+    """:meth:`ScalogramTable.log_variance_steps` against the general
+    :meth:`ScalogramTable.log_variances` on every candidate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        stride=st.integers(1, 40),
+        k0=st.integers(0, 599),
+        gap=st.integers(1, 600),
+        fixed_is_hi=st.booleans(),
+        cells=st.integers(1, 400),
+        hole=st.booleans(),
+    )
+    def test_steps_replay_every_candidate(
+        self, seed, stride, k0, gap, fixed_is_hi, cells, hole
+    ):
+        # Scales 16..96 step at every candidate up to stride 16 and sparsely
+        # beyond; a zeroed stretch gives zero sums, and bounds near the
+        # fixed one give fewer than 2 shifts.
+        fixed = k0 + gap if fixed_is_hi else k0 - gap
+        assume(0 <= fixed <= 600)
+        last = fixed - 1 if fixed_is_hi else 600
+        count = (last - k0) // stride + 1
+        vals = np.random.default_rng(seed).normal(size=601)
+        if hole:
+            vals[200:420] = 0.0
+        grid = ScaleGrid(16, (1, 2, 3, 5, 6))
+        table = ScalogramTable(SampledPath(values=vals), make_compact_poly(3), grid)
+        z_at = np.zeros((grid.ell, count))
+        bad_at = np.zeros((grid.ell, count), dtype=bool)
+        seen = []
+        steps = table.log_variance_steps(fixed, k0, stride, count, fixed_is_hi, cells)
+        for scales, runs, pos, z, bad in steps:
+            assert runs.sum() == pos.size and (pos.size <= cells or runs.size == 1)
+            ends = np.cumsum(runs)
+            for s, start, stop in zip(scales, ends - runs, ends):
+                seen.append(s)
+                p = pos[start:stop]
+                assert p[0] == 0 and np.all(np.diff(p) > 0)
+                # Each run holds from its start to the next one's.
+                run_of = np.searchsorted(p, np.arange(count), "right") - 1
+                z_at[s] = z[start:stop][run_of]
+                bad_at[s] = bad[start:stop][run_of]
+        assert seen == list(range(grid.ell))
+        ks = k0 + stride * np.arange(count, dtype=float)
+        k_lo, k_hi = (ks, fixed) if fixed_is_hi else (fixed, ks)
+        for s, (z, _, p_lo, p_hi) in enumerate(table.log_variances(k_lo, k_hi)):
+            own_bad = np.isneginf(z) | (p_hi - p_lo < 2)
+            np.testing.assert_array_equal(bad_at[s], own_bad)
+            np.testing.assert_array_equal(z_at[s], np.where(own_bad, 0.0, z))
+
+    def test_trimmed_grid_refused(self):
+        table = TRIM_TABLES[0.1]
+        with pytest.raises(ValidationError, match="untrimmed"):
+            next(table.log_variance_steps(600, 0, 8, 10, True, 100))
 
 
 class TestTrimmedVariance:

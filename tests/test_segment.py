@@ -206,6 +206,54 @@ class TestDetect:
         assert res.g_min == g_ex
         assert res.k_hat == k_ex
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        m=st.integers(min_value=1, max_value=3),
+        objective=st.sampled_from(["plain", "stabilized"]),
+        small=st.integers(min_value=2, max_value=6),
+        below=st.booleans(),
+        cells=st.integers(min_value=12, max_value=28),
+        short=st.integers(min_value=1, max_value=12),
+        hole=st.booleans(),
+        steps=st.booleans(),
+        data=st.data(),
+    )
+    def test_untrimmed_search_equals_exhaustive_property(
+        self, seed, m, objective, small, below, cells, short, hole, steps, data
+    ):
+        # Untrimmed grids take the screened shift-step rows (and column at
+        # m = 1) where steps pay, and with ``steps`` everywhere; the stride
+        # falls below or above the smallest scale, and a zeroed stretch gives
+        # infeasible cells inside the band.
+        stride = data.draw(
+            st.integers(1, small - 1) if below else st.integers(small, 12),
+            label="stride",
+        )
+        n = stride * cells + short
+        grid = ScaleGrid(1, (small, small + 1, small + 3))
+        # Two shifts at the top scale need 2 * (small + 3) samples.
+        shortest = 2 * (small + 3)
+        assume(n >= (m + 1) * shortest)
+        min_len = data.draw(st.integers(shortest, n // (m + 1)), label="min_len")
+        vals = np.random.default_rng(seed).normal(size=n + 1)
+        if hole:
+            vals[n // 3 : n // 2] = 0.0
+        table = ScalogramTable(SampledPath(values=vals), W3, grid)
+        cons = SegmentationConstraints(m=m, min_len=min_len, candidate_stride=stride)
+        cands, cost = cost_matrix(table, cons, objective)
+        g_ex, k_ex = exhaustive_minimum(cands, cost, m)
+        with pytest.MonkeyPatch.context() as patch:
+            if steps:
+                patch.setattr(segment, "_CELLS_PER_STEP", 0)
+            if not np.isfinite(g_ex):
+                with pytest.raises(ValidationError):
+                    detect(table, cons, objective=objective)
+                return
+            res = detect(table, cons, objective=objective)
+        assert res.g_min == g_ex
+        assert res.k_hat == k_ex
+
     def test_search_memory_is_subquadratic(self):
         # P = 4001 candidates: the full pair matrix alone would be 128 MB.
         n = 4000
@@ -317,9 +365,131 @@ class TestReachableBand:
                 cost = _pair_costs(table, k_lo, k_hi, 100, objective)
                 assert np.isinf(cost[0, :2]).all()
                 assert np.isfinite(cost[0, 2]) and np.isfinite(cost[1]).all()
+            # The shift-step vectors: a row from inside the stretch, a row
+            # from 0 and the column to N, against the pair costs.
+            ks = 16.0 * np.arange(26, 75)
+            for objective in ("plain", "stabilized"):
+                for fixed, fixed_is_hi in ((408, False), (0, False), (1207, True)):
+                    steps, bound = segment._step_costs(
+                        table, fixed, 416, 16, ks.size, fixed_is_hi, 100, objective
+                    )
+                    k_lo, k_hi = (ks, fixed) if fixed_is_hi else (fixed, ks)
+                    exact = _pair_costs(table, k_lo, k_hi, 100, objective)
+                    np.testing.assert_array_equal(np.isinf(steps), np.isinf(exact))
+                    assert np.all(bound[np.isinf(steps)] == 0.0)
+                    if fixed == 408:
+                        assert np.isinf(steps[:10]).all()
+                        assert np.isfinite(steps[-10:]).all()
             cons = SegmentationConstraints(m=2, min_len=150, candidate_stride=16)
             res = detect(table, cons)
+            cons = SegmentationConstraints(m=1, min_len=150, candidate_stride=16)
+            res_m1 = detect(table, cons)
+        assert np.isfinite(res.g_min) and np.isfinite(res_m1.g_min)
+
+
+class TestShiftStepScreen:
+    """The m = 1 vectors by shift-step differences, screened and confirmed
+    by :func:`_pair_costs`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        objective=st.sampled_from(["plain", "stabilized"]),
+        small=st.integers(min_value=2, max_value=8),
+        stride=st.integers(min_value=1, max_value=20),
+        fixed_is_hi=st.booleans(),
+        hole=st.booleans(),
+    )
+    def test_step_costs_lie_within_their_bound(
+        self, seed, objective, small, stride, fixed_is_hi, hole
+    ):
+        n = 1200
+        vals = np.random.default_rng(seed).normal(size=n + 1)
+        if hole:
+            vals[300:700] = 0.0
+        grid = ScaleGrid(small, (1, 2, 3, 5, 8, 13))
+        table = ScalogramTable(SampledPath(values=vals), W3, grid)
+        fixed, k0 = (n, stride) if fixed_is_hi else (0, stride)
+        count = (n - 1 - k0) // stride + 1
+        cost, bound = segment._step_costs(
+            table, fixed, k0, stride, count, fixed_is_hi, 40, objective
+        )
+        ks = k0 + stride * np.arange(count, dtype=float)
+        k_lo, k_hi = (ks, fixed) if fixed_is_hi else (fixed, ks)
+        exact = _pair_costs(table, k_lo, k_hi, 40, objective)
+        finite = np.isfinite(exact)
+        np.testing.assert_array_equal(np.isfinite(cost), finite)
+        assert finite.any()
+        assert np.all(np.abs(cost[finite] - exact[finite]) <= bound[finite])
+        assert np.all(bound[~finite] == 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), size=st.integers(min_value=1, max_value=30))
+    def test_screen_keeps_the_first_exact_argmin(self, data, size):
+        # Integer totals and bounds keep every perturbation exact.
+        exact = np.array(data.draw(st.lists(
+            st.one_of(st.integers(0, 20), st.just(math.inf)),
+            min_size=size, max_size=size,
+        )), dtype=float)
+        bound = np.array(data.draw(st.lists(
+            st.integers(0, 6), min_size=size, max_size=size
+        )), dtype=float)
+        bound[np.isinf(exact)] = 0.0
+        shift = [data.draw(st.integers(-int(b), int(b))) for b in bound]
+        keep = segment._screen(exact + np.array(shift, dtype=float), bound)
+        if np.isinf(exact).all():
+            assert keep.size == 0
+            return
+        first = int(np.argmin(exact))
+        assert keep[np.argmin(exact[keep])] == first
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_wide_screen_still_confirms_the_exact_minimum(self, m, monkeypatch):
+        # Bounds inflated by 1e9 keep every feasible cell; the confirming
+        # call must still pick the exhaustive minimizer among them.
+        step_costs = segment._step_costs
+        monkeypatch.setattr(segment, "_CELLS_PER_STEP", 0)
+
+        def loose(*args):
+            cost, bound = step_costs(*args)
+            return cost, np.where(np.isfinite(cost), bound + 1e9, 0.0)
+
+        monkeypatch.setattr(segment, "_step_costs", loose)
+        path = random_path(640, 90 + m)
+        cons = SegmentationConstraints(m=m, min_len=48, candidate_stride=16)
+        table = ScalogramTable(path, W3, GRID)
+        for objective in ("plain", "stabilized"):
+            cands, cost = cost_matrix(table, cons, objective)
+            res = detect(table, cons, objective=objective)
+            assert (res.g_min, res.k_hat) == exhaustive_minimum(cands, cost, m)
+
+    def test_steps_pay_on_the_many_scale_grids_only(self):
+        # The m = 1 stretches of the benchmark's farima, fbm and fgn designs.
+        pay = segment._steps_pay
+        assert pay(ScaleGrid(1, tuple(range(12, 501))), 16000, 3201)
+        assert pay(ScaleGrid(1, tuple(range(20, 251))), 3000, 3001)
+        assert not pay(ScaleGrid(1, tuple(range(2, 32))), 18000, 3601)
+        assert not pay(ScaleGrid(1, tuple(range(20, 251)), trim=0.1), 3000, 3001)
+
+    def test_m1_detect_confirms_a_handful_of_cells(self, monkeypatch):
+        # The farima design of the benchmark: 489 detection scales, stride
+        # 5, P = 4001.  One pair-cost call re-evaluates the few cells the
+        # screen keeps, for the row and the column at once.
+        n = 20000
+        params = default_params("farima", n, m=1, ell=30)
+        spec = PiecewiseSpec(family="farima", tau_stars=(0.75,), exponents=(0.2, 0.8))
+        path = simulate_piecewise(spec, n, seed=0)
+        table = ScalogramTable(path, params.wavelet, params.det_grid)
+        cells = []
+
+        def counting(table, k_lo, k_hi, *args, **kwargs):
+            cells.append(np.broadcast(k_lo, k_hi).size)
+            return _pair_costs(table, k_lo, k_hi, *args, **kwargs)
+
+        monkeypatch.setattr(segment, "_pair_costs", counting)
+        res = detect(table, params.constraints, params.det_objective)
         assert np.isfinite(res.g_min)
+        assert len(cells) == 1 and cells[0] <= 8
 
 
 class TestShrink:

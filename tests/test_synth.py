@@ -103,6 +103,17 @@ class TestSimulateStationary:
         )
         np.testing.assert_array_equal(a, c)
 
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be nonnegative, got -1"),
+        ("abc", "seed must be a number, got 'abc'"),
+    ])
+    def test_seed_that_is_not_a_nonnegative_integer_is_refused(self, seed, message):
+        # As simulate_piecewise refuses its own seed; a Generator and None pass.
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            simulate_stationary(lambda k: fgn_autocov(0.7, 1.0, k), 64, seed=seed)
+        assert simulate_stationary(lambda k: fgn_autocov(0.7, 1.0, k), 64).shape == (64,)
+
     def test_invalid_covariance_raises(self):
         # A sequence that is not a covariance has no nonnegative embedding.
         with pytest.raises(NumericError, match="negative eigenvalue .* at n=64"):
@@ -212,11 +223,13 @@ class TestSimulatePiecewise:
         (lambda spec: simulate_piecewise(spec, math.inf), "n must be a number, got inf"),
         (lambda spec: simulate_piecewise(spec, 100, seed=1.5),
          "seed must be an integer, got 1.5"),
+        (lambda spec: simulate_piecewise(spec, None), "n must be a number, got None"),
         (lambda spec: PiecewiseSpec("fgn", tau_stars=("abc",), exponents=(0.5, 0.5)),
          "tau_stars must be a number, got 'abc'"),
         (lambda spec: PiecewiseSpec("fgn", exponents=0.5),
          "exponents must be a sequence of numbers, got 0.5"),
-    ], ids=["fractional-n", "infinite-n", "fractional-seed", "word-tau", "scalar-exponents"])
+    ], ids=["fractional-n", "infinite-n", "fractional-seed", "missing-n", "word-tau",
+            "scalar-exponents"])
     def test_value_that_is_not_a_number_is_refused(self, call, message):
         spec = PiecewiseSpec(family="fgn", exponents=(0.5,))
         with pytest.raises(ValidationError, match=re.escape(message)):
