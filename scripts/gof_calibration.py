@@ -3,6 +3,8 @@
 Simulates single-regime long-memory series, runs the full pipeline on each,
 and compares the sample of GoF statistics with the asymptotic chi-square law
 (Kolmogorov-Smirnov test plus the fraction below the 95% quantile).
+It takes the quantile and the test from scipy, which only the ``test``
+extra installs (``pip install -e '.[test]'``).
 """
 
 import argparse

@@ -47,7 +47,6 @@ from .synth import (
     Family,
     PiecewiseSpec,
     SampledPath,
-    add_polynomial_trend,
     farima_autocov,
     fgn_autocov,
     simulate_piecewise,

@@ -57,10 +57,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, ndtri
 
 from .errors import NumericError, ValidationError
-from .synth import Family, _family
+from .synth import Family, _family, ndtri
 
 __all__ = [
     "ThetaEstimate",
@@ -109,9 +108,33 @@ class GofResult:
 
 
 def chi2_sf(x, df):
-    """Upper tail of the chi-square distribution via the regularized
-    incomplete gamma function."""
-    return float(gammaincc(df / 2.0, x / 2.0))
+    """Upper tail P(X > x) of the chi-square law with an integer df >= 1.
+
+    The closed forms of Abramowitz & Stegun 26.4.4-26.4.5, with y = x/2
+    and k = floor(df/2):
+
+        df = 2k:      sum_{j<k} e^-y y^j / j!
+        df = 2k + 1:  erfc(sqrt y) + sum_{j<k} e^-y y^(j+1/2) / Gamma(j+3/2)
+
+    Each term is formed from its logarithm, so a term stays finite where
+    e^-y alone would underflow (df = x = 1500 gives 0.495, not 0).
+    """
+    if isinstance(df, bool) or int(df) != df or df < 1:
+        raise ValidationError(f"chi-square df must be an integer >= 1, got {df!r}")
+    x = float(x)
+    if not x > 0.0:
+        return math.nan if math.isnan(x) else 1.0
+    if x == math.inf:
+        return 0.0
+    y = 0.5 * x
+    log_y = math.log(y)
+    odd = int(df) % 2
+    h = 0.5 * odd
+    terms = [math.exp((j + h) * log_y - y - math.lgamma(j + h + 1.0))
+             for j in range(int(df) // 2)]
+    if odd:
+        terms.append(math.erfc(math.sqrt(y)))
+    return min(math.fsum(terms), 1.0)
 
 
 def exponent_from_alpha(alpha, family):
@@ -198,12 +221,18 @@ def confidence_interval(estimate, level):
         raise ValidationError("confidence level must lie in [0, 1)")
     if estimate.cov is None:
         raise ValidationError("estimate carries no covariance")
-    z = float(ndtri(0.5 * (1.0 + level)))
+    z = _normal_quantile(0.5 * (1.0 + level))
     half = z * np.sqrt(np.clip(np.diag(estimate.cov), 0.0, None))
     return (
         (estimate.alpha - half[0], estimate.alpha + half[0]),
         (estimate.log_beta - half[1], estimate.log_beta + half[1]),
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _normal_quantile(p):
+    """The standard normal quantile at p in (0, 1), cached per p."""
+    return float(ndtri(np.array([p]))[0])
 
 
 # ---------------------------------------------------------------------------

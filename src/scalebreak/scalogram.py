@@ -120,8 +120,8 @@ class ScalogramTable:
     to the shift steps along it.  One flat array holds the prefix sums of
     every scale, and ``sq_prefix`` views it scale by scale.
 
-    A scale whose squared coefficients overflow raises
-    :class:`ValidationError`.  A scale whose RMS coefficient lies below
+    A scale whose sampled filter is zero, or whose squared coefficients
+    overflow, raises :class:`ValidationError`.  A scale whose RMS coefficient lies below
     c * eps * ||psi_a||_1 * max|x|, with c = 4096 and ||psi_a||_1 the l1
     norm of the sampled filter, holds nothing but rounding noise and raises
     :class:`NumericError`: a constant path does so under the compact
@@ -131,6 +131,12 @@ class ScalogramTable:
     def __init__(self, path, wavelet, grid):
         if grid.trim > 0.0 and not wavelet.is_band_limited:
             raise ValidationError("trim applies to band-limited wavelets only")
+        blind = [a for a in grid.scales if wavelet.kernel_l1(a) == 0.0]
+        if blind:
+            raise ValidationError(
+                f"the sampled wavelet is zero at scale {blind[0]:g}: its "
+                "coefficients see nothing; start the grid at a larger scale"
+            )
         self.grid = grid
         self.n = path.n
         self.scales = grid.scales

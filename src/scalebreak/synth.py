@@ -14,7 +14,10 @@ nonnegative for every fgn and farima exponent (Craigmile 2003); an
 autocovariance whose embedding is not is refused.  The band-limited family
 is sampled by spectral synthesis on a frequency grid fine enough that no
 aliasing occurs over the observation window.  All draws pass through an
-inverse-CDF transform so a given seed reproduces the same path bit for bit.
+inverse-CDF transform, a numpy port of the Cephes ``ndtri`` (Moshier
+1989), so a given seed reproduces the same path bit for bit on one
+machine.  Across CPUs a path can move in its last bits: numpy's ``log``
+and FFT may round differently from one instruction set to another.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 from .errors import NumericError, ValidationError
 
@@ -36,7 +38,6 @@ __all__ = [
     "farima_autocov",
     "simulate_stationary",
     "simulate_piecewise",
-    "add_polynomial_trend",
     "gaussian_draws",
 ]
 
@@ -61,13 +62,111 @@ def _family(value):
         raise ValidationError(f"family must be one of {names}, got {value!r}") from None
 
 
+# Cephes ndtri (Moshier 1989): sqrt(2 pi), exp(-2) and the rational
+# approximations of the central branch (P0/Q0) and of the tails for
+# sqrt(-2 log y) below 8 (P1/Q1) and from 8 on (P2/Q2).  Q0, Q1 and Q2 are
+# monic: their leading coefficient 1 is implicit.
+_S2PI = 2.50662827463100050242e0
+_EXPM2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+       3.93881025292474443415e0, 1.33303460815807542389e0,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6,
+       6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+       1.37702099489081330271e0, 2.16236993594496635890e-1,
+       1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x, coef):
+    """Cephes ``polevl``: Horner's rule from coef[0], in place."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x, coef):
+    """Cephes ``p1evl``: Horner's rule for a monic polynomial, from
+    x + coef[0], in place."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def ndtri(u):
+    """Inverse of the standard normal CDF on (0, 1), elementwise over a
+    1-d array.
+
+    A port of Cephes ``ndtri`` in its branch order: u above 1 - e^-2 is
+    flipped to y = 1 - u, a rational form in y - 1/2 serves y > e^-2, and
+    the tails use x = sqrt(-2 log y).  The central branch, about 73 % of
+    uniform draws, equals ``scipy.special.ndtri`` bit for bit; the tails
+    can differ by a few ulp where numpy's ``log`` rounds differently from
+    the C library's.  Values at or outside 0 and 1 are not defined here.
+    """
+    # A flipped y = 1 - u is exact and below e^-2, so every flipped value
+    # takes a tail: the central form runs on u itself, over the whole array.
+    c = u - 0.5
+    c2 = c * c
+    x = c2 * _polevl(c2, _P0)
+    x /= _p1evl(c2, _Q0)
+    x *= c
+    x += c
+    x *= _S2PI
+    upper = 1.0 - _EXPM2
+    tail = np.flatnonzero((u <= _EXPM2) | (u > upper))
+    if tail.size:
+        y = u.take(tail)
+        flip = y > upper
+        np.subtract(1.0, y, out=y, where=flip)
+        t = np.sqrt(-2.0 * np.log(y))
+        x0 = t - np.log(t) / t
+        z = 1.0 / t
+        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+        far = np.flatnonzero(t >= 8.0)
+        if far.size:
+            zf = z.take(far)
+            x1.put(far, zf * _polevl(zf, _P2) / _p1evl(zf, _Q2))
+        x0 -= x1
+        np.negative(x0, out=x0, where=~flip)
+        x.put(tail, x0)
+    return x
+
+
 def gaussian_draws(rng, size):
     """Standard normal draws through the inverse CDF (no rejection step).
 
-    53-bit uniforms are mapped through ``ndtri`` so that a stream of
-    generator words produces the same Gaussians on any platform.
+    Each 53-bit generator word w gives u = (w + 1/2) 2^-53, clamped below
+    1 so that the last word stays finite, and :func:`ndtri` maps u to a
+    Gaussian.  A stream of words gives the same Gaussians on every run of
+    one machine.  On another CPU a draw in a tail of :func:`ndtri` (about
+    a quarter of all draws) can move by a few ulp, where numpy's ``log``
+    rounds differently there.
     """
     u = (rng.integers(0, 1 << 53, size=size) + 0.5) * 2.0 ** -53
+    np.minimum(u, 1.0 - 2.0 ** -53, out=u)
     return ndtri(u)
 
 
@@ -240,7 +339,7 @@ def farima_autocov(d, sigma2, k):
         raise ValidationError("lags must be nonnegative")
     kmax = int(np.max(k)) if k.size else 0
     r = np.empty(kmax + 1)
-    r[0] = sigma2 * math.exp(gammaln(1.0 - 2.0 * d) - 2.0 * gammaln(1.0 - d))
+    r[0] = sigma2 * math.exp(math.lgamma(1.0 - 2.0 * d) - 2.0 * math.lgamma(1.0 - d))
     if kmax > 0:
         j = np.arange(kmax, dtype=float)
         r[1:] = r[0] * np.cumprod((j + d) / (j + 1.0 - d))
@@ -273,9 +372,10 @@ def simulate_stationary(autocov, n, seed=None):
     r = np.asarray(autocov(np.arange(n + 1)), dtype=float)
     if r.shape != (n + 1,) or not np.all(np.isfinite(r)):
         raise ValidationError("autocov must return finite values for lags 0..n")
-    # First row of the 2n circulant: r_0 .. r_n, r_{n-1} .. r_1.
+    # First row of the 2n circulant: r_0 .. r_n, r_{n-1} .. r_1.  Its
+    # eigenvalues are real and symmetric, so e_0 .. e_n hold them all.
     first_row = np.concatenate([r, r[-2:0:-1]])
-    eigs = np.fft.fft(first_row).real
+    eigs = np.fft.rfft(first_row).real
     tol = 1e-8 * max(eigs.max(), 1.0)
     if eigs.min() < -tol:
         raise NumericError(
@@ -285,13 +385,16 @@ def simulate_stationary(autocov, n, seed=None):
     eigs = np.clip(eigs, 0.0, None)
     m = 2 * n
     z = gaussian_draws(rng, m)
-    v = np.empty(m, dtype=complex)
-    v[0] = math.sqrt(eigs[0]) * z[0]
-    v[n] = math.sqrt(eigs[n]) * z[1]
+    # The Hermitian spectrum v has v_0 = sqrt(e_0) z_0, v_n = sqrt(e_n) z_1
+    # and v_k = sqrt(e_k / 2) (z_{k+1} + i z_{n+k}) for 0 < k < n.  Its FFT
+    # is real and equals m times the inverse real FFT of conj(v_0 .. v_n).
+    w = np.empty(n + 1, dtype=complex)
+    w[0] = math.sqrt(eigs[0]) * z[0]
+    w[n] = math.sqrt(eigs[n]) * z[1]
     half = np.sqrt(eigs[1:n] / 2.0)
-    v[1:n] = half * (z[2 : n + 1] + 1j * z[n + 1 :])
-    v[n + 1 :] = np.conj(v[1:n][::-1])
-    return np.fft.fft(v).real[:n] / math.sqrt(m)
+    w.real[1:n] = half * z[2 : n + 1]
+    w.imag[1:n] = half * -z[n + 1 :]
+    return np.fft.irfft(w, m)[:n] * math.sqrt(m)
 
 
 def _locfrac_inv_rho_sq(xi, H, sigma, fmin, fmax):
@@ -388,11 +491,3 @@ def simulate_piecewise(spec, n, delta=1.0, seed=None):
             seg = _locfrac_segment(length, delta, expo, sig, spec.freq_band, rng)
         values[lo:hi] = seg
     return SampledPath(values=values, delta=delta)
-
-
-def add_polynomial_trend(path, coeffs):
-    """Add the polynomial trend sum_r coeffs[r] * (i*delta)^r to the path."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    t = path.delta * np.arange(path.values.size)
-    trend = np.polynomial.polynomial.polyval(t, coeffs)
-    return SampledPath(values=path.values + trend, delta=path.delta)

@@ -12,7 +12,10 @@ per-pair tables and sums lags in blocks.  ``read_series_csv`` parses a
 series CSV row by row and cell by cell, where the package's reader makes
 each pass over all cells at once.  ``chi2_quantile`` inverts the chi-square
 law for the tests' thresholds; the package itself needs only its upper tail
-(``chi2_sf``).
+(``chi2_sf``).  ``simulate_stationary_full_fft`` synthesizes a circulant
+embedding from the whole 2n-point spectrum with complex FFTs, where the
+package takes half-size real FFTs.  ``add_polynomial_trend`` adds a
+polynomial to a path for the trend-robustness tests.
 """
 
 import csv
@@ -22,7 +25,7 @@ import numpy as np
 from scipy.special import chdtri
 
 import scalebreak.estimate as estimate
-from scalebreak import NumericError, SampledPath, ValidationError, design_matrix
+from scalebreak import NumericError, SampledPath, ValidationError, design_matrix, synth
 from scalebreak.scalogram import ScalogramTable
 
 LAG_BLOCK = 16
@@ -106,6 +109,31 @@ def chi2_quantile(level, df):
     if not 0.0 < level < 1.0:
         raise ValidationError("quantile level must lie in (0,1)")
     return float(chdtri(df, 1.0 - level))
+
+
+def simulate_stationary_full_fft(autocov, n, seed):
+    """Davies-Harte synthesis through full complex FFTs of the 2n
+    circulant and of its Hermitian spectrum, from the same draws as
+    ``synth.simulate_stationary``."""
+    rng = np.random.default_rng(seed)
+    r = np.asarray(autocov(np.arange(n + 1)), dtype=float)
+    eigs = np.clip(np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real, 0.0, None)
+    m = 2 * n
+    z = synth.gaussian_draws(rng, m)
+    v = np.empty(m, dtype=complex)
+    v[0] = math.sqrt(eigs[0]) * z[0]
+    v[n] = math.sqrt(eigs[n]) * z[1]
+    v[1:n] = np.sqrt(eigs[1:n] / 2.0) * (z[2 : n + 1] + 1j * z[n + 1 :])
+    v[n + 1 :] = np.conj(v[1:n][::-1])
+    return np.fft.fft(v).real[:n] / math.sqrt(m)
+
+
+def add_polynomial_trend(path, coeffs):
+    """Add the polynomial trend sum_r coeffs[r] * (i*delta)^r to the path."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    t = path.delta * np.arange(path.values.size)
+    trend = np.polynomial.polynomial.polyval(t, coeffs)
+    return SampledPath(values=path.values + trend, delta=path.delta)
 
 
 def simpson_rule(lo, hi):

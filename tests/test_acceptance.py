@@ -12,12 +12,11 @@ import numpy as np
 from scipy.stats import kstest
 
 import scalebreak as sb
-from oracles import chi2_quantile
+from oracles import add_polynomial_trend, chi2_quantile
 from scalebreak import (
     PiecewiseSpec,
     ScaleGrid,
     SegmentationConstraints,
-    add_polynomial_trend,
     analyze,
     default_params,
     design_matrix,

@@ -276,6 +276,18 @@ class TestDetect:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_scale_whose_filter_is_zero_exits_2(self, tmp_path, capsys):
+        # The q = 3 filter sampled at scale 1 is [psi(0)] = [-0.0].
+        series = tmp_path / "series.csv"
+        np.savetxt(series, np.random.default_rng(6).normal(size=4001))
+        out = tmp_path / "res.json"
+        assert run_cli(
+            "detect", "--family", "fgn", "--ell", "6", "--min-det-scale", "1",
+            "--input", series, "--out", out,
+        ) == 2
+        assert "sampled wavelet is zero at scale 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_result_records_the_lattice_size_used(self, tmp_path, monkeypatch, caplog):
         # 200 lattice points per unit ratio put the ell = 6 grid on M = 2048.
         monkeypatch.setattr(estimate, "_PER_RATIO", 200)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaincc, ndtri
 
 import scalebreak.estimate as estimate
 from oracles import chi2_quantile, fbm_gamma, spectral_gamma
@@ -540,6 +541,38 @@ class TestGof:
         assert g1.statistic == pytest.approx(g2.statistic, rel=1e-9, abs=1e-12)
 
 
+class TestChi2Sf:
+    # Every df from 1 to 60, then a spread up to 10^4, each at x below, at
+    # and above its mean; the largest relative gap measured was 1.1e-11,
+    # at df = 10^4 and a tail value of 1e-285.
+    DFS = [*range(1, 61), 99, 100, 101, 487, 488, 999, 1000, 1500, 1501,
+           3001, 9999, 10000]
+
+    @pytest.mark.parametrize("df", DFS)
+    def test_matches_gammaincc(self, df):
+        for x in (1e-8, 0.25 * df, 0.8 * df, df, 1.3 * df, 2.0 * df + 20, 5.0 * df + 100):
+            expected = gammaincc(0.5 * df, 0.5 * x)
+            assert chi2_sf(x, df) == pytest.approx(expected, rel=1e-10, abs=1e-300)
+
+    def test_large_df_at_its_mean_does_not_underflow(self):
+        # e^-750 underflows, so a plain Poisson sum reads 0 here.
+        value = chi2_sf(1500.0, 1500)
+        assert value == pytest.approx(0.4951441933357679, rel=1e-12)
+        assert value == pytest.approx(gammaincc(750.0, 750.0), rel=1e-12)
+
+    def test_edges(self):
+        assert chi2_sf(0.0, 3) == 1.0
+        assert chi2_sf(-1.0, 4) == 1.0
+        assert chi2_sf(math.inf, 5) == 0.0
+        assert math.isnan(chi2_sf(math.nan, 5))
+        assert chi2_sf(1e6, 18) == 0.0
+
+    @pytest.mark.parametrize("df", [0, -2, 2.5, True])
+    def test_df_must_be_a_positive_integer(self, df):
+        with pytest.raises(ValidationError, match="df must be an integer >= 1"):
+            chi2_sf(1.0, df)
+
+
 class TestConfidenceInterval:
     def _est(self):
         grid = ScaleGrid(8, (1, 2, 4))
@@ -563,6 +596,15 @@ class TestConfidenceInterval:
         w90 = np.diff(confidence_interval(est, 0.90)[0])[0]
         w99 = np.diff(confidence_interval(est, 0.99)[0])[0]
         assert w99 > w90 > 0
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99, 0.999999])
+    def test_z_is_the_normal_quantile(self, level):
+        est = self._est()
+        (lo, hi), _ = confidence_interval(est, level)
+        z = ndtri(0.5 * (1.0 + level))
+        half = z * math.sqrt(est.cov[0, 0])
+        assert (hi - lo) / 2 == pytest.approx(half, rel=1e-14)
+        assert estimate._normal_quantile(0.5 * (1.0 + level)) == pytest.approx(z, rel=2e-15)
 
     def test_requires_covariance(self):
         grid = ScaleGrid(8, (1, 2, 4))

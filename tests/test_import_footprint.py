@@ -1,8 +1,9 @@
-"""Importing the package loads scipy.special and no heavier scipy submodule.
+"""Importing the CLI loads no scipy module at all.
 
-Each submodule barred below costs a CLI run a large share of its start-up
-time and resident memory (scipy.signal alone took about 1 s of a 1.4 s
-``import scalebreak.cli``).  The test checks module names, not times.
+The package needs numpy only at run time: ``scipy.special`` alone took
+0.23-0.28 s of a 0.35-0.42 s ``import scalebreak.cli`` and most of the
+difference between its 54 MB and numpy's 26 MB.  The tests still use scipy
+as an oracle.  The test checks module names, not times.
 """
 
 import os
@@ -11,13 +12,9 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-BARRED = (
-    "scipy.signal", "scipy.fft", "scipy.linalg", "scipy.integrate",
-    "scipy.stats", "scipy.optimize",
-)
 
 
-def test_cli_import_loads_no_heavy_scipy_submodule():
+def test_cli_import_loads_no_scipy_module():
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, scalebreak, scalebreak.cli; "
@@ -29,6 +26,4 @@ def test_cli_import_loads_no_heavy_scipy_submodule():
     )
     origin, *modules = proc.stdout.split()
     assert Path(origin).resolve().is_relative_to(SRC)
-    assert "scipy.special" in modules
-    packages = {".".join(m.split(".")[:2]) for m in modules}
-    assert sorted(packages.intersection(BARRED)) == []
+    assert sorted(m for m in modules if m.split(".")[0] == "scipy") == []

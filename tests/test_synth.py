@@ -12,14 +12,78 @@ from scalebreak import (
     PiecewiseSpec,
     SampledPath,
     ValidationError,
-    add_polynomial_trend,
     farima_autocov,
     fgn_autocov,
     simulate_piecewise,
     simulate_stationary,
 )
-from scalebreak.synth import segment_bounds
+from oracles import add_polynomial_trend, simulate_stationary_full_fft
+from scalebreak.synth import _EXPM2, gaussian_draws, ndtri, segment_bounds
 from scipy.special import gammaln
+from scipy.special import ndtri as scipy_ndtri
+
+WORDS = 1 << 53
+
+
+def _ulps(a, b):
+    """|a - b| in units of the last place of b, elementwise."""
+    return np.abs(a - b) / np.spacing(np.abs(b))
+
+
+class _Words:
+    """A generator stub whose integers() hands out the given words."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.int64)
+
+    def integers(self, lo, hi, size):
+        assert (lo, hi, size) == (0, WORDS, self.words.size)
+        return self.words.copy()
+
+
+class TestNdtri:
+    def test_matches_scipy_on_uniform_words(self):
+        # The central branch is the same arithmetic as Cephes, bit for bit;
+        # a tail can differ where numpy's log rounds differently from the C
+        # library's (about 6e-5 of draws measured, by at most 5 ulp).
+        u = (np.random.default_rng(0).integers(0, WORDS, size=10**6) + 0.5) / WORDS
+        got, want = ndtri(u), scipy_ndtri(u)
+        central = (u > _EXPM2) & (u <= 1.0 - _EXPM2)
+        np.testing.assert_array_equal(got[central], want[central])
+        assert _ulps(got[~central], want[~central]).max() <= 8
+        assert np.count_nonzero(got != want) < 1e-3 * u.size
+
+    def test_branch_edges(self):
+        lo, hi = _EXPM2, 1.0 - _EXPM2
+        u = np.array([
+            np.nextafter(lo, 0), lo, np.nextafter(lo, 1),
+            np.nextafter(hi, 0), hi, np.nextafter(hi, 1),
+            0.5, 1e-14, math.exp(-32) * 1.01, math.exp(-32) * 0.99, 1e-20,
+            1e-300, 2.0 ** -54, 1.0 - 2.0 ** -53, 1.0 - 1e-15,
+        ])
+        got, want = ndtri(u), scipy_ndtri(u)
+        assert np.all(np.isfinite(got))
+        assert _ulps(got, want).max() <= 8
+        # Just above e^-2, and up to 1 - e^-2 itself, the central branch
+        # runs, where the ports agree exactly; 1/2 maps to 0.
+        np.testing.assert_array_equal(got[2:5], want[2:5])
+        assert got[6] == 0.0
+
+
+class TestGaussianDraws:
+    def test_first_and_last_word_are_finite(self):
+        # The last word gives (2^53 - 1/2) 2^-53, which rounds to 1.0,
+        # where the inverse CDF is +inf; it is clamped to 1 - 2^-53.
+        assert scipy_ndtri((WORDS - 1 + 0.5) * 2.0 ** -53) == math.inf
+        z = gaussian_draws(_Words([0, WORDS - 1]), 2)
+        assert np.all(np.isfinite(z))
+        assert z[1] == pytest.approx(-scipy_ndtri(2.0 ** -53), rel=2e-15)
+        assert z[0] == pytest.approx(scipy_ndtri(2.0 ** -54), rel=2e-15)
+
+    def test_clamp_moves_no_other_word(self):
+        words = np.array([0, 1, 12345, 1 << 52, (1 << 52) + 1, WORDS - 3, WORDS - 2])
+        z = gaussian_draws(_Words(words), words.size)
+        np.testing.assert_array_equal(z, ndtri((words + 0.5) * 2.0 ** -53))
 
 
 class TestFgnAutocov:
@@ -57,9 +121,9 @@ class TestFarimaAutocov:
 
     def test_base_case_against_loggamma(self):
         # r(0) = Gamma(1-2d) / Gamma(1-d)^2, evaluated directly.
-        d = 0.1
-        expected = math.exp(gammaln(0.8) - 2 * gammaln(0.9))
-        assert farima_autocov(d, 1.0, 0) == pytest.approx(expected, rel=1e-12)
+        for d in (1e-6, 0.05, 0.1, 0.25, 0.4, 0.49, 0.499999):
+            expected = math.exp(gammaln(1 - 2 * d) - 2 * gammaln(1 - d))
+            assert farima_autocov(d, 1.0, 0) == pytest.approx(expected, rel=1e-12), d
 
     def test_slow_decay_ratio(self):
         d = 0.4
@@ -113,6 +177,19 @@ class TestSimulateStationary:
         with pytest.raises(ValidationError, match=re.escape(message)):
             simulate_stationary(lambda k: fgn_autocov(0.7, 1.0, k), 64, seed=seed)
         assert simulate_stationary(lambda k: fgn_autocov(0.7, 1.0, k), 64).shape == (64,)
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 1001, 4096])
+    @pytest.mark.parametrize("autocov", [
+        lambda k: fgn_autocov(0.7, 1.0, k),
+        lambda k: fgn_autocov(0.2, 2.0, k),
+        lambda k: farima_autocov(0.45, 1.0, k),
+        lambda k: (np.asarray(k) == 0) * 1.0,
+    ], ids=["fgn-0.7", "fgn-0.2", "farima-0.45", "white"])
+    def test_half_size_ffts_match_the_full_fft(self, autocov, n):
+        x = simulate_stationary(autocov, n, seed=n)
+        want = simulate_stationary_full_fft(autocov, n, seed=n)
+        assert x.shape == (n,)
+        np.testing.assert_allclose(x, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     def test_invalid_covariance_raises(self):
         # A sequence that is not a covariance has no nonnegative embedding.
