@@ -7,8 +7,10 @@ the first seed, then ``--trace 0`` once per seed of SEEDS (0..9) in each,
 alternating which side runs first (the parent first on even seeds), all for
 the run length BENCHMARK.json sets.  Each side runs its own
 ``perfbench/run.py``, which imports the package from that side's ``src``;
-the benchmark code itself should be the same on both sides.  Without
-``--parent`` only this checkout runs.
+the benchmark code itself must be the same on both sides: the recorder
+takes a digest of ``perfbench/`` and ``BENCHMARK.json`` in each checkout
+and refuses to run when they differ.  Without ``--parent`` only this
+checkout runs.
 
 The result goes to ``BENCH_<label>.json`` at the root of this checkout:
 each side's commit, each run's end-to-end metrics and environment line, the
@@ -40,22 +42,37 @@ def parse_args(argv=None):
     return p.parse_args(argv)
 
 
+def digest(root, paths):
+    """SHA-256 over the names and bytes of ``paths`` under ``root``, sorted."""
+    sha = hashlib.sha256()
+    for path in sorted(paths):
+        sha.update(str(path.relative_to(root)).encode())
+        sha.update(path.read_bytes())
+    return sha.hexdigest()
+
+
+def bench_files(root):
+    """The benchmark's own files: BENCHMARK.json and every file under
+    ``perfbench/`` but Python's bytecode caches."""
+    files = [p for p in (root / "perfbench").rglob("*")
+             if p.is_file() and "__pycache__" not in p.parts]
+    return [root / "BENCHMARK.json", *files]
+
+
 def checkout(root):
-    """The commit of a checkout, whether its tree differs from it, and a
-    digest of its ``src`` files, which names the code measured either way."""
+    """The commit of a checkout, whether its tree differs from it, a digest
+    of its ``src`` files, which names the code measured either way, and a
+    digest of its benchmark files."""
     def git(*args):
         proc = subprocess.run(["git", "-C", str(root), *args],
                               capture_output=True, text=True)
         return proc.stdout.strip() if proc.returncode == 0 else None
 
-    digest = hashlib.sha256()
-    for path in sorted((root / "src").rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(path.read_bytes())
     status = git("status", "--porcelain", "--untracked-files=no")
     return {"commit": git("rev-parse", "HEAD"),
             "dirty": None if status is None else bool(status),
-            "src_sha256": digest.hexdigest()}
+            "src_sha256": digest(root, (root / "src").rglob("*.py")),
+            "bench_sha256": digest(root, bench_files(root))}
 
 
 def run_bench(root, seed, seconds, trace):
@@ -119,6 +136,11 @@ def main(argv=None):
     sides = {"change": ROOT}
     if args.parent is not None:
         sides["parent"] = args.parent.resolve()
+    checkouts = {side: checkout(root) for side, root in sides.items()}
+    if len({c["bench_sha256"] for c in checkouts.values()}) > 1:
+        print("perfbench/ or BENCHMARK.json differs between the checkouts; "
+              "the two sides would not run the same benchmark", file=sys.stderr)
+        return 2
     runs, traces = [], {}
     for side, root in sides.items():
         traced = run_bench(root, SEEDS[0], seconds, trace=1)
@@ -139,7 +161,7 @@ def main(argv=None):
         "command": f"perfbench/run.py --workload all --seconds {seconds:g} "
                    "--trace 0|1",
         "seeds": SEEDS,
-        "checkouts": {side: checkout(root) for side, root in sides.items()},
+        "checkouts": checkouts,
         "runs": runs,
         "traces": traces,
         "summary": summarize(runs, declared),

@@ -276,6 +276,17 @@ def _power(eta, d_exp):
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _cutoff_terms(wavelet):
+    """The cutoff bound's terms that do not depend on D, once per wavelet:
+    |psi_hat|^2 at the Simpson nodes on [0, 8 pi], c_k c_l and
+    k + l + 1."""
+    c = np.abs(wavelet.end_derivatives).sum(axis=0)[2:]
+    k = np.arange(2, c.size + 2)
+    u, _ = _simpson_rule(0.0, 8.0 * math.pi)
+    return np.abs(wavelet.psi_hat(u)) ** 2, np.outer(c, c), k[:, None] + k + 1.0
+
+
 def _effective_cutoff(wavelet, d_exp):
     """Radius X with int_X^inf |psi_hat|^2 u^-D du at most _TAIL J.
 
@@ -283,16 +294,25 @@ def _effective_cutoff(wavelet, d_exp):
     |psi_hat(u)| <= sum_{k>=2} c_k u^-(k+1), c_k = |P^(k)(0)| + |P^(k)(1)|,
     and the tail is at most sum_{k,l} c_k c_l X^-e / e, e = k + l + 1 + D.
     J is at least its part on [0, 8 pi].  X is the first point of a
-    geometric grid (ratio 1.0034) where the bound falls below _TAIL J.
+    geometric grid (ratio 1.0034) where the bound falls below _TAIL J, or
+    the grid's first point if none does.  The bound falls as X grows, so
+    a bisection finds that point, evaluating the bound at about a dozen
+    grid points.
     """
-    c = np.abs(wavelet.end_derivatives).sum(axis=0)[2:]
-    k = np.arange(2, c.size + 2)
-    e = k[:, None] + k + 1.0 + d_exp
+    psi2, cc, kl1 = _cutoff_terms(wavelet)
+    e = kl1 + d_exp
+    weight = cc / e
     u, w = _simpson_rule(0.0, 8.0 * math.pi)
-    target = _TAIL * float(np.abs(wavelet.psi_hat(u)) ** 2 @ (_power(u, d_exp) * w))
+    target = _TAIL * float(psi2 @ (_power(u, d_exp) * w))
     x = np.geomspace(1.0, 1e6, 4097)
-    bound = np.sum(np.outer(c, c) / e * x[:, None, None] ** -e, axis=(1, 2))
-    return float(x[np.argmax(bound <= target)])
+    lo, hi = 0, x.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if np.sum(weight * x[mid] ** -e) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(x[lo] if lo < x.size else x[0])
 
 
 @functools.lru_cache(maxsize=1)

@@ -20,6 +20,16 @@ plain array of log S, one entry per grid scale; the fits take the
 segment's effective size n_eff = (k' - k)/a, with a the grid's base scale,
 from their caller.
 
+The scale axis.  ``log_variances`` runs one step per scale, or, with
+``scale_axis``, one step over every scale: the bounds take a trailing
+axis, one floor divides them by all scales, and one ``take`` per bound
+reads the flat prefix array at each scale's offset plus the shift index.
+Where cells are few, as in the search's confirming calls and the fits,
+numpy's fixed cost per call, not arithmetic, sets the time of a step, so
+one step instead of ell (489 on the farima detection grid) is most of
+the saving.  Each entry is the same subtraction of the same prefix sums
+and the same log either way.
+
 :meth:`ScalogramTable.log_variance_steps` serves the search's rows and
 columns: one bound held fixed, the other running over a uniform stretch of
 candidates.  On an untrimmed grid the running bound k enters scale a only
@@ -41,6 +51,7 @@ log S, and only the fits add the offsets back.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -131,10 +142,11 @@ class ScalogramTable:
     def __init__(self, path, wavelet, grid):
         if grid.trim > 0.0 and not wavelet.is_band_limited:
             raise ValidationError("trim applies to band-limited wavelets only")
-        blind = [a for a in grid.scales if wavelet.kernel_l1(a) == 0.0]
-        if blind:
+        kernel_l1 = np.array([wavelet.kernel_l1(a) for a in grid.scales])
+        if not kernel_l1.all():
             raise ValidationError(
-                f"the sampled wavelet is zero at scale {blind[0]:g}: its "
+                f"the sampled wavelet is zero at scale "
+                f"{grid.scales[np.argmax(kernel_l1 == 0.0)]:g}: its "
                 "coefficients see nothing; start the grid at a larger scale"
             )
         self.grid = grid
@@ -144,66 +156,91 @@ class ScalogramTable:
         sizes = [int(math.floor(self.n / a)) + 1 for a in self.scales]
         self._offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         self._flat = np.empty(self._offsets[-1])
-        self.sq_prefix = []
-        max_abs = float(np.max(np.abs(path.values)))
-        for a, lo, hi in zip(self.scales, self._offsets, self._offsets[1:]):
-            prefix = self._flat[lo:hi]
-            with np.errstate(over="ignore", invalid="ignore"):
+        self.sq_prefix = [
+            self._flat[lo:hi] for lo, hi in zip(self._offsets, self._offsets[1:])
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, prefix in zip(self.scales, self.sq_prefix):
                 e = coefficients_at_scale(path, wavelet, a)
                 prefix[0] = 0.0
                 np.cumsum(np.square(e, out=e), out=prefix[1:])
-            if not np.isfinite(prefix[-1]):
+        # Both checks run over every scale's total at once; the first scale
+        # that fails either raises, the overflow first, as a scale-by-scale
+        # pass would.
+        total = self._flat[self._offsets[1:] - 1]
+        overflow = ~np.isfinite(total)
+        l1 = path.delta / np.sqrt(self.scales) * kernel_l1
+        noise = _ROUNDING_UNITS * np.finfo(float).eps * l1 * np.max(np.abs(path.values))
+        with np.errstate(invalid="ignore"):
+            rounding = np.sqrt(total / (np.asarray(sizes) - 1.0)) < noise
+        failed = overflow | rounding
+        if failed.any():
+            s = int(np.argmax(failed))
+            a = self.scales[s]
+            if overflow[s]:
                 raise ValidationError(
                     f"squared wavelet coefficients overflow at scale {a:g}; "
                     "rescale the series"
                 )
-            l1 = path.delta / math.sqrt(a) * wavelet.kernel_l1(a)
-            noise = _ROUNDING_UNITS * np.finfo(float).eps * l1 * max_abs
-            if math.sqrt(prefix[-1] / e.size) < noise:
-                raise NumericError(
-                    f"wavelet variance at scale {a:g} is at rounding level: "
-                    "the series holds no fluctuations the wavelet sees"
-                )
-            self.sq_prefix.append(prefix)
+            raise NumericError(
+                f"wavelet variance at scale {a:g} is at rounding level: "
+                "the series holds no fluctuations the wavelet sees"
+            )
 
-    def log_variances(self, k_lo, k_hi):
-        """Yield, scale by scale, the raw log-sum z = log sum e^2 over the
-        shifts of the segments [k_lo, k_hi).
+    def log_variances(self, k_lo, k_hi, scale_axis=False):
+        """Yield the raw log-sums z = log sum e^2 over the shifts of the
+        segments [k_lo, k_hi), scale by scale, or every scale in one step
+        with ``scale_axis``.
 
         The bounds broadcast against each other and lie in [0, N].  Each
         step yields z, the shift-count mask and the shift range
         [p_lo, p_hi) on the scale's grid.  z is one buffer, overwritten at
         every step; it is -inf where the sum is zero.  The mask is one
         array, updated in place: it is False where the segment has fewer
-        than 2 shifts at this scale or an earlier one.  log S is z plus
-        log(a / (1 - 2w)) - log(k_hi - k_lo), which only the per-segment
-        fits need (see the module docstring).  Floating-point errors of the
-        logs are ignored while the steps run, the caller's code between
-        them included.
+        than 2 shifts at this scale or an earlier one.  With
+        ``scale_axis`` the one step covers every scale: z, p_lo and p_hi
+        carry the scales on a trailing axis, and the mask covers them all.
+        log S is z plus log(a / (1 - 2w)) - log(k_hi - k_lo), which only
+        the per-segment fits need (see the module docstring).
+        Floating-point errors of the logs are ignored while the steps run,
+        the caller's code between them included.
         """
         k_lo = np.asarray(k_lo, dtype=float)
         k_hi = np.asarray(k_hi, dtype=float)
         trim = self.grid.trim
         shape = np.broadcast_shapes(k_lo.shape, k_hi.shape)
         ok = np.ones(shape, dtype=bool)
-        z = np.empty(shape)
         # Untrimmed shift ranges depend on one bound each, so they stay at the
         # bounds' own (unbroadcast) shapes until the prefix sums are differenced.
         if trim:
             length = k_hi - k_lo
             k_lo, k_hi = k_lo + trim * length, k_hi - trim * length
+        if scale_axis:
+            # One step: shift p of scale s is entry _offsets[s] + p of the
+            # flat prefix array.
+            k_lo, k_hi = k_lo[..., None], k_hi[..., None]
+            steps = [(self.scales, self._flat, self._offsets[:-1])]
+            z = np.empty(shape + self.scales.shape)
+        else:
+            steps = zip(self.scales, self.sq_prefix, itertools.repeat(None))
+            z = np.empty(shape)
         # floor(k / a) is monotone in k, so the least shift count over the
         # bounds' extremes is floor(min k_hi / a) - floor(max k_lo / a); a scale
         # where it reaches 2 needs no broadcast test.
-        hi_min, lo_max = (float(k_hi.min()), float(k_lo.max())) if z.size else (0, 0)
+        hi_min, lo_max = (float(k_hi.min()), float(k_lo.max())) if ok.size else (0, 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for a, prefix in zip(self.scales, self.sq_prefix):
+            for a, prefix, base in steps:
                 p_lo = np.floor(k_lo / a).astype(np.int64)
                 p_hi = np.floor(k_hi / a).astype(np.int64)
-                if math.floor(hi_min / a) < math.floor(lo_max / a) + 2:
-                    ok &= p_hi >= p_lo + 2
+                if base is None:
+                    i_lo, i_hi = p_lo, p_hi
+                    if math.floor(hi_min / a) < math.floor(lo_max / a) + 2:
+                        ok &= p_hi >= p_lo + 2
+                else:
+                    i_lo, i_hi = p_lo + base, p_hi + base
+                    ok &= np.all(p_hi >= p_lo + 2, axis=-1)
                 np.subtract(
-                    prefix.take(p_hi, mode="clip"), prefix.take(p_lo, mode="clip"),
+                    prefix.take(i_hi, mode="clip"), prefix.take(i_lo, mode="clip"),
                     out=z,
                 )
                 np.log(z, out=z)
@@ -273,20 +310,20 @@ class ScalogramTable:
 
     def log_variance_vector(self, k_lo, k_hi):
         """Array of log S over the scale grid for the segment [k_lo, k_hi),
-        trimmed per the grid."""
+        trimmed per the grid, from one step of :meth:`log_variances` over
+        every scale."""
         if not 0 <= k_lo < k_hi <= self.n:
             raise ValidationError("segment bounds fall outside the path")
-        log_len = np.log(float(k_hi - k_lo))
-        ys = []
-        for a, (z, _, p_lo, p_hi) in zip(self.scales, self.log_variances(k_lo, k_hi)):
-            if p_hi - p_lo < 2:
-                raise ValidationError(
-                    f"segment too short: {p_hi - p_lo} shifts at scale {a}"
-                )
-            ys.append(
-                math.log(a / (1.0 - 2.0 * self.grid.trim)) - log_len + float(z)
+        (z, _, p_lo, p_hi), = self.log_variances(k_lo, k_hi, scale_axis=True)
+        shifts = p_hi - p_lo
+        if np.any(shifts < 2):
+            s = int(np.argmax(shifts < 2))
+            raise ValidationError(
+                f"segment too short: {shifts[s]} shifts at scale {self.scales[s]}"
             )
-        y = np.array(ys)
+        # math.log, not np.log: the offsets are those of a scalar evaluation.
+        offset = [math.log(a / (1.0 - 2.0 * self.grid.trim)) for a in self.scales]
+        y = np.subtract(offset, np.log(float(k_hi - k_lo))) + z
         if not np.all(np.isfinite(y)):
             raise NumericError("nonpositive variance: degenerate segment")
         return y

@@ -15,7 +15,11 @@ law for the tests' thresholds; the package itself needs only its upper tail
 (``chi2_sf``).  ``simulate_stationary_full_fft`` synthesizes a circulant
 embedding from the whole 2n-point spectrum with complex FFTs, where the
 package takes half-size real FFTs.  ``add_polynomial_trend`` adds a
-polynomial to a path for the trend-robustness tests.
+polynomial to a path for the trend-robustness tests.  ``pair_costs``
+adds each pair cost's sums scale by scale, where the package takes every
+scale in one step for a small call.  ``effective_cutoff`` scans the whole
+grid of radii for the Gamma cutoff, where the package bisects it with
+per-wavelet terms cached.
 """
 
 import csv
@@ -104,6 +108,39 @@ def contrast(path, wavelet, grid, ks, min_len=None):
     )
 
 
+def pair_costs(table, k_lo, k_hi, min_len, objective):
+    """Pair costs of the segments [k_lo, k_hi) scale by scale, in the order
+    of floating-point operations the package keeps: per scale the log-sum
+    z over the (trimmed) shift range, then q1 += z w xc, q2 += z w and
+    q0 += (z w) z, starting from 0.  +inf where a segment is shorter than
+    min_len, has fewer than 2 shifts at a scale, or a non-finite cost."""
+    grid = table.grid
+    x = grid.log_scales
+    weights = np.ones(grid.ell) if objective == "plain" else 1.0 / (2.0 * grid.scales)
+    wsum = weights.sum()
+    xc = x - (weights * x).sum() / wsum
+    sxx = float(weights @ (xc * xc))
+    k_lo, k_hi = np.broadcast_arrays(np.asarray(k_lo, float), np.asarray(k_hi, float))
+    length = k_hi - k_lo
+    lo, hi = k_lo + grid.trim * length, k_hi - grid.trim * length
+    q0, q1, q2 = np.zeros((3, *length.shape))
+    ok = length >= min_len
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, prefix, w, w_xc in zip(grid.scales, table.sq_prefix, weights, weights * xc):
+            p_lo = np.floor(lo / a).astype(np.int64)
+            p_hi = np.floor(hi / a).astype(np.int64)
+            ok &= p_hi - p_lo >= 2
+            z = np.log(prefix[p_hi] - prefix[p_lo])
+            q1 = q1 + z * w_xc
+            q2 = q2 + z * w
+            q0 = q0 + z * w * z
+        cost = q0 - q2 * q2 / wsum - q1 * q1 / sxx
+        if objective == "stabilized":
+            cost = cost * length
+        ok &= np.isfinite(cost)
+    return np.where(ok, np.maximum(cost, 0.0), np.inf)
+
+
 def chi2_quantile(level, df):
     """Chi-square quantile: chi2_sf(chi2_quantile(q, df), df) = 1 - q."""
     if not 0.0 < level < 1.0:
@@ -186,6 +223,21 @@ def pair_sum(wavelet, d_exp, r_p, r_q, j_norm, cutoff):
             block_sum = 0.0
         phase *= phase_step
     raise NumericError(f"lag sum for scale pair ({r_p}, {r_q}) did not converge")
+
+
+def effective_cutoff(wavelet, d_exp):
+    """The Gamma cutoff radius by a scan of the bound over the whole grid of
+    radii, every piece computed afresh: the first grid point where the
+    bound falls below _TAIL J, or the first point if none does."""
+    c = np.abs(wavelet.end_derivatives).sum(axis=0)[2:]
+    k = np.arange(2, c.size + 2)
+    e = k[:, None] + k + 1.0 + d_exp
+    u, w = estimate._simpson_rule(0.0, 8.0 * math.pi)
+    power = estimate._power(u, d_exp)
+    target = estimate._TAIL * float(np.abs(wavelet.psi_hat(u)) ** 2 @ (power * w))
+    x = np.geomspace(1.0, 1e6, 4097)
+    bound = np.sum(np.outer(c, c) / e * x[:, None, None] ** -e, axis=(1, 2))
+    return float(x[np.argmax(bound <= target)])
 
 
 def spectral_gamma(d_exp, grid, wavelet, trim):

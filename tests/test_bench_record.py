@@ -104,3 +104,42 @@ def test_summarize_counts_wins_by_direction():
         [r for r in runs if r["side"] == "change"], {"t": "lower"}
     )
     assert "pairs" not in alone["w"]["t"] and "parent" not in alone["w"]["t"]
+
+
+def _fake_checkout(root, run_py):
+    (root / "perfbench" / "__pycache__").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    (root / "perfbench" / "run.py").write_text(run_py)
+    return root
+
+
+def test_bench_digest_covers_perfbench_and_benchmark_json(tmp_path):
+    root = _fake_checkout(tmp_path / "a", "print(1)\n")
+    first = bench_record.checkout(root)["bench_sha256"]
+    (root / "perfbench" / "__pycache__" / "run.cpython.pyc").write_bytes(b"x")
+    assert bench_record.checkout(root)["bench_sha256"] == first
+    for name in ("perfbench/run.py", "BENCHMARK.json"):
+        path = root / name
+        text = path.read_text()
+        path.write_text(text + " ")
+        assert bench_record.checkout(root)["bench_sha256"] != first
+        path.write_text(text)
+    assert bench_record.checkout(root)["bench_sha256"] == first
+
+
+def test_refuses_checkouts_whose_benchmarks_differ(tmp_path, monkeypatch, capsys):
+    change = _fake_checkout(tmp_path / "change", "print(1)\n")
+    parent = _fake_checkout(tmp_path / "parent", "print(2)\n")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_record, "ROOT", change)
+    monkeypatch.setattr(bench_record, "run_bench", no_run)
+    assert bench_record.main(["--label", "t", "--parent", str(parent)]) == 2
+    assert "differs between the checkouts" in capsys.readouterr().err
+    assert not list(change.glob("BENCH_*.json"))
+    # The same benchmark files on both sides pass the check.
+    (parent / "perfbench" / "run.py").write_text("print(1)\n")
+    with pytest.raises(AssertionError, match="a run started"):
+        bench_record.main(["--label", "t", "--parent", str(parent)])

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc, ndtri
 
 import scalebreak.estimate as estimate
-from oracles import chi2_quantile, fbm_gamma, spectral_gamma
+from oracles import chi2_quantile, effective_cutoff, fbm_gamma, spectral_gamma
 from scalebreak import (
     NumericError,
     ScaleGrid,
@@ -188,8 +188,8 @@ class TestBatchedGamma:
         assert np.max(np.abs(g2 - g)) < 1e-10 * np.max(np.abs(g))
 
     def test_one_table_serves_every_exponent(self, monkeypatch):
-        # After the first call builds the psi_hat table, a call at any D
-        # evaluates psi_hat only at _effective_cutoff's Simpson nodes.
+        # After the first call builds the psi_hat table and the cutoff's
+        # per-wavelet terms, a call at any D evaluates psi_hat nowhere.
         grid = ScaleGrid(1, tuple(range(1, 31)))
         points = []
         psi_hat = type(W3).psi_hat
@@ -200,12 +200,13 @@ class TestBatchedGamma:
 
         monkeypatch.setattr(type(W3), "psi_hat", counted)
         estimate._psi_hat_table.cache_clear()
+        estimate._cutoff_terms.cache_clear()
         gamma_lrd(0.5, grid, W3)
         assert sum(points) > 2 * (estimate._N_QUAD + 1)
         for d_exp in (1e-6, 1e-3, 0.2, 0.5, 0.999):
             points.clear()
             gamma_lrd(d_exp, grid, W3)
-            assert points == [estimate._N_QUAD + 1]
+            assert points == []
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -220,6 +221,16 @@ class TestBatchedGamma:
         assert estimate._effective_cutoff(wavelet, d_lo) >= estimate._effective_cutoff(
             wavelet, d_hi
         )
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+    def test_cutoff_equals_the_full_scan(self, q):
+        # The bisection on cached terms against the scan of the whole grid,
+        # at 400 exponents in (0, 1) and at 0, 1.6 and 2.4.
+        wavelet = make_compact_poly(q)
+        for d_exp in [*np.linspace(0.0, 1.0, 402)[1:-1], 0.0, 1.6, 2.4]:
+            assert estimate._effective_cutoff(wavelet, d_exp) == effective_cutoff(
+                wavelet, d_exp
+            )
 
     @pytest.mark.parametrize("d_exp", [0.2, 0.8, 2.4])
     def test_cutoff_drops_less_than_the_stated_tail(self, d_exp):

@@ -295,6 +295,32 @@ class TestLogVarianceVector:
             with pytest.raises(ValidationError):
                 table.log_variance_vector(k_lo, k_hi)
 
+    @pytest.mark.parametrize(
+        "k_lo, k_hi, error, text",
+        [
+            (0, 200, ValidationError, "segment too short: 1 shifts at scale 128.0"),
+            (0, 100, ValidationError, "segment too short: 1 shifts at scale 64.0"),
+            (300, 512, ValidationError, "segment too short: 1 shifts at scale 192.0"),
+            (-1, 5, ValidationError, "segment bounds fall outside the path"),
+            (1100, 2900, NumericError, "nonpositive variance: degenerate segment"),
+        ],
+    )
+    def test_error_texts(self, k_lo, k_hi, error, text):
+        # The first scale with fewer than 2 shifts is named; a segment in a
+        # zeroed stretch has zero sums.
+        rng = np.random.default_rng(1)
+        if error is NumericError:
+            vals = rng.normal(size=4001)
+            vals[1000:3000] = 0.0
+            grid = ScaleGrid(8, (1, 2, 3))
+        else:
+            vals = rng.normal(size=513)
+            grid = ScaleGrid(64, (1, 2, 3))
+        table = ScalogramTable(SampledPath(values=vals), make_compact_poly(3), grid)
+        with pytest.raises(error) as info:
+            table.log_variance_vector(k_lo, k_hi)
+        assert str(info.value) == text
+
     def test_trim_only_for_band_limited(self):
         rng = np.random.default_rng(5)
         path = SampledPath(values=rng.normal(size=1025))
@@ -412,6 +438,32 @@ class TestDegenerateInput:
         path = SampledPath(values=np.full(4001, level))
         with pytest.raises(NumericError, match="rounding level"):
             ScalogramTable(path, make_compact_poly(q), self.GRID)
+
+    @pytest.mark.parametrize("extra", [None, 1])
+    def test_first_failing_scale_raises(self, extra):
+        # A spike at sample 4 meets psi(1/2), zero up to rounding, at scale
+        # 8 and a tap of 0.16 at scale 16, whose squares overflow.  So
+        # scale 8 is at rounding level and raises before scale 16's
+        # overflow.  A second spike at sample 1 makes scale 8 overflow too,
+        # and the overflow of the same scale comes first.
+        vals = np.zeros(4001)
+        vals[4] = 1e160
+        if extra is not None:
+            vals[extra] = 1e160
+        path = SampledPath(values=vals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((ValidationError, NumericError)) as info:
+                ScalogramTable(path, make_compact_poly(3), ScaleGrid(8, (1, 2, 3)))
+        if extra is None:
+            assert str(info.value) == (
+                "wavelet variance at scale 8 is at rounding level: the series "
+                "holds no fluctuations the wavelet sees"
+            )
+        else:
+            assert str(info.value) == (
+                "squared wavelet coefficients overflow at scale 8; rescale the series"
+            )
 
     def test_rounding_floor_far_below_noise(self):
         # A unit-variance path clears the floor by many orders of magnitude,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import contrast, segment_cost
+from oracles import contrast, pair_costs, segment_cost
 from scalebreak import (
     PiecewiseSpec,
     SampledPath,
@@ -387,6 +387,95 @@ class TestReachableBand:
         assert np.isfinite(res.g_min) and np.isfinite(res_m1.g_min)
 
 
+def _one_pass_tables():
+    """40 scales on 3 000 samples: compact and untrimmed, with a zeroed
+    stretch whose sums vanish, and band-limited with trim 0.1."""
+    rng = np.random.default_rng(31)
+    holed = rng.normal(size=3001)
+    holed[1200:1700] = 0.0
+    plain = rng.normal(size=3001)
+    ratios = tuple(range(1, 41))
+    return {
+        "compact": ScalogramTable(SampledPath(values=holed), W3, ScaleGrid(4, ratios)),
+        "trimmed": ScalogramTable(
+            SampledPath(values=plain), make_band_limited(2.0, 3.0),
+            ScaleGrid(4, ratios, trim=0.1),
+        ),
+    }
+
+
+ONE_PASS_TABLES = _one_pass_tables()
+
+
+class TestOnePass:
+    """Pair costs of few cells take every scale in one step of
+    :meth:`ScalogramTable.log_variances`, and keep the per-scale sums'
+    floating-point operations."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(ONE_PASS_TABLES)),
+        objective=st.sampled_from(["plain", "stabilized"]),
+        rows=st.integers(1, 24),
+        cols=st.integers(1, 24),
+        data=st.data(),
+    )
+    def test_equals_the_per_scale_oracle(self, kind, objective, rows, cols, data):
+        # 40 scales put the budget at 204 cells: rows x cols falls on
+        # either side of it.  Bounds in either order, and segments in the
+        # zeroed stretch, give the inf pattern.
+        table = ONE_PASS_TABLES[kind]
+        bound = st.integers(0, 3000)
+        k_lo = np.array(data.draw(st.lists(bound, min_size=rows, max_size=rows)))
+        k_hi = np.array(data.draw(st.lists(bound, min_size=cols, max_size=cols)))
+        for lo, hi in ((k_lo[:, None], k_hi[None, :]), (k_lo[0], k_hi), (k_lo[0], k_hi[0])):
+            got = _pair_costs(table, lo, hi, 200, objective)
+            assert np.array_equal(got, pair_costs(table, lo, hi, 200, objective))
+
+    @staticmethod
+    def _count_steps(table, monkeypatch):
+        steps = []
+        log_variances = table.log_variances
+
+        def counted(*args, **kwargs):
+            for step in log_variances(*args, **kwargs):
+                steps.append(step[0].shape)
+                yield step
+
+        monkeypatch.setattr(table, "log_variances", counted)
+        return steps
+
+    def test_budget_decides_the_steps(self, monkeypatch):
+        table = ScalogramTable(random_path(2000, 5), W3, ScaleGrid(4, (1, 2, 3, 5, 8)))
+        steps = self._count_steps(table, monkeypatch)
+        fit = segment._STEP_CELLS // table.grid.ell
+        for cells, expected in ((fit, [(fit, 5)]), (fit + 1, [(fit + 1,)] * 5)):
+            steps.clear()
+            _pair_costs(table, 0.0, np.linspace(100.0, 2000.0, cells), 10)
+            assert steps == expected
+
+    def test_benchmark_grids(self, monkeypatch):
+        # The few-cell confirmation on the 489-scale farima grid is one
+        # step; a 31K-cell block of the 20-scale fgn m = 3 search is 20.
+        params = default_params("farima", 20000, m=1, ell=30)
+        path = simulate_piecewise(PiecewiseSpec("farima", (0.75,), (0.2, 0.8)), 20000, seed=0)
+        table = ScalogramTable(path, params.wavelet, params.det_grid)
+        assert table.grid.ell == 489
+        steps = self._count_steps(table, monkeypatch)
+        _pair_costs(table, 0.0, np.array([5000.0, 15000.0]), 100, params.det_objective)
+        assert steps == [(2, 489)]
+        params = default_params("fgn", 20000, m=3, ell=20)
+        path = simulate_piecewise(
+            PiecewiseSpec("fgn", (0.25, 0.5, 0.75), (0.2, 0.8, 0.3, 0.7)), 20000, seed=0
+        )
+        table = ScalogramTable(path, params.wavelet, params.det_grid)
+        steps = self._count_steps(table, monkeypatch)
+        k_lo = 5.0 * np.arange(8, dtype=float)[:, None]
+        k_hi = 5.0 * np.arange(100, 4000, dtype=float)[None, :]
+        _pair_costs(table, k_lo, k_hi, 100, params.det_objective)
+        assert table.grid.ell == 20 and steps == [(8, 3900)] * 20
+
+
 class TestShiftStepScreen:
     """The m = 1 vectors by shift-step differences, screened and confirmed
     by :func:`_pair_costs`."""
@@ -568,7 +657,8 @@ def test_every_admissible_window_has_two_shifts(family, n, ell, v_n, data):
     # on a window with fewer than 2 shifts at some scale.
     table = object.__new__(ScalogramTable)
     table.grid, table.n, table.scales = params.grid, n, params.grid.scales
-    table.sq_prefix = [np.arange(n + 2.0)] * params.grid.ell
+    table._offsets = (n + 2) * np.arange(params.grid.ell + 1)
+    table._flat = np.tile(np.arange(n + 2.0), params.grid.ell)
     for k_lo, k_hi in windows:
         assert np.all(np.isfinite(table.log_variance_vector(k_lo, k_hi)))
 
