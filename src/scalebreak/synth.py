@@ -22,6 +22,7 @@ and FFT may round differently from one instruction set to another.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -347,12 +348,75 @@ def farima_autocov(d, sigma2, k):
     return out if out.ndim else float(out)
 
 
+def _circulant_factor(autocov, n):
+    """The synthesis amplitudes of the circulant embedding of ``autocov``
+    at length ``n``, as one read-only array of n + 1 floats.
+
+    The 2n circulant's first row is r_0 .. r_n, r_{n-1} .. r_1.  Its
+    eigenvalues e are real and symmetric, so e_0 .. e_n from one ``rfft``
+    hold them all.  An eigenvalue below -1e-8 of the largest raises
+    ``NumericError``, and so does a largest eigenvalue that is not
+    positive and finite; the test is relative, so scaling the
+    autocovariance does not change it.  The rest are clipped at 0, and
+    the amplitudes are sqrt(e_0), sqrt(e_k / 2) for 0 < k < n, and
+    sqrt(e_n).
+    """
+    if n < 2:
+        raise ValidationError("need n >= 2")
+    r = np.asarray(autocov(np.arange(n + 1)), dtype=float)
+    if r.shape != (n + 1,) or not np.all(np.isfinite(r)):
+        raise ValidationError("autocov must return finite values for lags 0..n")
+    eigs = np.fft.rfft(np.concatenate([r, r[-2:0:-1]])).real
+    top = eigs.max()
+    if eigs.min() < -1e-8 * top:
+        raise NumericError(
+            f"circulant embedding of the autocovariance has the negative "
+            f"eigenvalue {eigs.min():.3g} at n={n}"
+        )
+    if not 0.0 < top < math.inf:
+        raise NumericError(
+            f"circulant embedding of the autocovariance has the largest "
+            f"eigenvalue {top:.3g} at n={n}; it must be positive and finite"
+        )
+    eigs = np.clip(eigs, 0.0, None)
+    amp = np.empty(n + 1)
+    amp[0] = math.sqrt(eigs[0])
+    amp[n] = math.sqrt(eigs[n])
+    np.sqrt(eigs[1:n] / 2.0, out=amp[1:n])
+    amp.flags.writeable = False
+    return amp
+
+
+def _circulant_draw(amp, rng):
+    """One stationary vector of length n from the amplitudes of
+    :func:`_circulant_factor` and 2n Gaussian draws z from ``rng``.
+
+    The Hermitian spectrum v has v_0 = amp_0 z_0, v_n = amp_n z_1 and
+    v_k = amp_k (z_{k+1} + i z_{n+k}) for 0 < k < n.  Its FFT is real and
+    equals 2n times the inverse real FFT of conj(v_0 .. v_n).
+    """
+    n = amp.size - 1
+    m = 2 * n
+    z = gaussian_draws(rng, m)
+    w = np.empty(n + 1, dtype=complex)
+    w[0] = amp[0] * z[0]
+    w[n] = amp[n] * z[1]
+    half = amp[1:n]
+    w.real[1:n] = half * z[2 : n + 1]
+    w.imag[1:n] = half * -z[n + 1 :]
+    return np.fft.irfft(w, m)[:n] * math.sqrt(m)
+
+
 def simulate_stationary(autocov, n, seed=None):
     """Draw an exact zero-mean stationary Gaussian vector of length ``n``.
 
     ``autocov`` maps an array of lags to covariances.  The sample is built
-    by circulant embedding of the covariance (Davies-Harte).  An embedding
-    with an eigenvalue below -1e-8 of the largest raises ``NumericError``.
+    by circulant embedding of the covariance (Davies-Harte), in two steps:
+    the embedding's spectrum is factored once (an eigenvalue below -1e-8
+    of the largest, or a largest one that is not positive and finite,
+    raises ``NumericError``), and then 2n Gaussian draws are shaped by it through
+    one inverse real FFT.  :func:`simulate_piecewise` caches the first
+    step per segment design and draws exactly as this function does.
 
     Parameters
     ----------
@@ -364,37 +428,34 @@ def simulate_stationary(autocov, n, seed=None):
         The seed of a new generator, or the generator to draw from.
     """
     n = _number("n", n, int)
-    if n is None or n < 2:
+    if n is None:
         raise ValidationError("need n >= 2")
     if not isinstance(seed, np.random.Generator):
         seed = _seed(seed)
     rng = np.random.default_rng(seed)
-    r = np.asarray(autocov(np.arange(n + 1)), dtype=float)
-    if r.shape != (n + 1,) or not np.all(np.isfinite(r)):
-        raise ValidationError("autocov must return finite values for lags 0..n")
-    # First row of the 2n circulant: r_0 .. r_n, r_{n-1} .. r_1.  Its
-    # eigenvalues are real and symmetric, so e_0 .. e_n hold them all.
-    first_row = np.concatenate([r, r[-2:0:-1]])
-    eigs = np.fft.rfft(first_row).real
-    tol = 1e-8 * max(eigs.max(), 1.0)
-    if eigs.min() < -tol:
-        raise NumericError(
-            f"circulant embedding of the autocovariance has the negative "
-            f"eigenvalue {eigs.min():.3g} at n={n}"
-        )
-    eigs = np.clip(eigs, 0.0, None)
-    m = 2 * n
-    z = gaussian_draws(rng, m)
-    # The Hermitian spectrum v has v_0 = sqrt(e_0) z_0, v_n = sqrt(e_n) z_1
-    # and v_k = sqrt(e_k / 2) (z_{k+1} + i z_{n+k}) for 0 < k < n.  Its FFT
-    # is real and equals m times the inverse real FFT of conj(v_0 .. v_n).
-    w = np.empty(n + 1, dtype=complex)
-    w[0] = math.sqrt(eigs[0]) * z[0]
-    w[n] = math.sqrt(eigs[n]) * z[1]
-    half = np.sqrt(eigs[1:n] / 2.0)
-    w.real[1:n] = half * z[2 : n + 1]
-    w.imag[1:n] = half * -z[n + 1 :]
-    return np.fft.irfft(w, m)[:n] * math.sqrt(m)
+    return _circulant_draw(_circulant_factor(autocov, n), rng)
+
+
+# Segment designs whose circulant factor stays cached.  An entry holds
+# L + 1 floats for a segment of L points: the segments of one N = 20 000
+# path take about 160 KB, and 8 entries of at most N + 1 floats each
+# bound the cache (1.3 MB at N = 20 000).
+_FACTORS_CACHED = 8
+
+
+@functools.lru_cache(maxsize=_FACTORS_CACHED)
+def _segment_factor(family, exponent, sigma, length):
+    """The read-only :func:`_circulant_factor` of one fgn or farima
+    segment of ``length`` points, or of the ``length - 1`` increments of
+    an fbm segment, cached per (family, exponent, sigma, length): it does
+    not depend on the seed, so replicates of one design share it."""
+    if family is Family.FGN:
+        h = 0.5 * (1.0 + exponent)  # D = 2H - 1
+        return _circulant_factor(lambda k: fgn_autocov(h, sigma ** 2, k), length)
+    if family is Family.FARIMA:
+        d = 0.5 * exponent  # D = 2d
+        return _circulant_factor(lambda k: farima_autocov(d, sigma ** 2, k), length)
+    return _circulant_factor(lambda k: fgn_autocov(exponent, sigma ** 2, k), length - 1)
 
 
 def _locfrac_inv_rho_sq(xi, H, sigma, fmin, fmax):
@@ -460,6 +521,13 @@ def simulate_piecewise(spec, n, delta=1.0, seed=None):
     fgn/farima segments are stationary; fbm segments are cumulative sums of
     exact fGn increments starting from 0; locfrac segments come from
     spectral synthesis.  Returns a :class:`SampledPath` with n+1 values.
+
+    The circulant spectrum of an fgn, farima or fbm segment depends on its
+    design, not on the seed, so it is computed once per (family, exponent,
+    sigma, length) and cached for the last 8 such designs: replicates of
+    one design only draw.  Each segment's draws and their arithmetic are
+    those of :func:`simulate_stationary` on one generator, so a cached
+    spectrum gives the same path bit for bit.
     """
     n = _number("n", n, int)
     if n is None:
@@ -472,22 +540,11 @@ def simulate_piecewise(spec, n, delta=1.0, seed=None):
     values = np.empty(n + 1)
     for (lo, hi), expo, sig in zip(bounds, spec.exponents, spec.sigmas):
         length = hi - lo
-        if spec.family is Family.FGN:
-            h = 0.5 * (1.0 + expo)  # D = 2H - 1
-            seg = simulate_stationary(
-                lambda k: fgn_autocov(h, sig ** 2, k), length, rng
-            )
-        elif spec.family is Family.FARIMA:
-            d = 0.5 * expo  # D = 2d
-            seg = simulate_stationary(
-                lambda k: farima_autocov(d, sig ** 2, k), length, rng
-            )
-        elif spec.family is Family.FBM:
-            inc = simulate_stationary(
-                lambda k: fgn_autocov(expo, sig ** 2, k), length - 1, rng
-            )
-            seg = np.concatenate([[0.0], np.cumsum(inc)])
-        else:
+        if spec.family is Family.LOCFRAC:
             seg = _locfrac_segment(length, delta, expo, sig, spec.freq_band, rng)
+        else:
+            seg = _circulant_draw(_segment_factor(spec.family, expo, sig, length), rng)
+            if spec.family is Family.FBM:
+                seg = np.concatenate([[0.0], np.cumsum(seg)])
         values[lo:hi] = seg
     return SampledPath(values=values, delta=delta)

@@ -322,12 +322,14 @@ def coefficients_at_scale(path, wavelet, a):
     j_zero, kernel = wavelet.kernel(ai)
     if not wavelet.is_band_limited:
         blocks = path.values[: n_shifts * ai].reshape(n_shifts, ai)
-        return scale_factor * (blocks @ kernel)
-    x = path.values.copy()
-    x[0] = 0.0  # the coefficient sum starts at p = 1
-    size = _fft_length(x.size + kernel.size - 1)
-    conv = np.fft.irfft(
-        np.fft.rfft(x, size) * np.fft.rfft(kernel[::-1], size), size
-    )
-    shifts = ai * np.arange(n_shifts)
-    return scale_factor * conv[shifts + j_zero]
+        e = blocks @ kernel
+    else:
+        x = path.values.copy()
+        x[0] = 0.0  # the coefficient sum starts at p = 1
+        size = _fft_length(x.size + kernel.size - 1)
+        conv = np.fft.irfft(
+            np.fft.rfft(x, size) * np.fft.rfft(kernel[::-1], size), size
+        )
+        e = conv[ai * np.arange(n_shifts) + j_zero]
+    e *= scale_factor
+    return e

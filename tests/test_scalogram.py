@@ -330,6 +330,46 @@ class TestLogVarianceVector:
             ScalogramTable(path, w, grid)
 
 
+class TestTableBuild:
+    """The prefix arrays against a per-scale cumulative-sum oracle."""
+
+    @pytest.mark.parametrize("wavelet, grid", [
+        (make_compact_poly(3), ScaleGrid(2, tuple(range(1, 41)))),
+        (make_band_limited(2.0, 3.0), ScaleGrid(16, (1, 2, 3, 5, 6, 9, 14), trim=0.2)),
+    ], ids=["dense-compact", "trimmed-band-limited"])
+    def test_prefixes_equal_per_scale_cumsum(self, wavelet, grid):
+        path = SampledPath(values=np.random.default_rng(21).normal(size=3001))
+        table = ScalogramTable(path, wavelet, grid)
+        want = np.concatenate([
+            np.concatenate([[0.0], np.cumsum(np.square(
+                coefficients_at_scale(path, wavelet, a)))])
+            for a in grid.scales
+        ])
+        assert table._flat.tobytes() == want.tobytes()
+        for a, prefix in zip(grid.scales, table.sq_prefix):
+            assert prefix.size == math.floor(path.n / a) + 1
+
+    def test_one_coefficient_call_per_scale(self, monkeypatch):
+        import scalebreak.scalogram as scalogram
+
+        calls = []
+
+        def counted(path, wavelet, a):
+            calls.append(a)
+            return coefficients_at_scale(path, wavelet, a)
+
+        monkeypatch.setattr(scalogram, "coefficients_at_scale", counted)
+        grid = ScaleGrid(4, (1, 2, 3, 5, 8, 13))
+        path = SampledPath(values=np.random.default_rng(22).normal(size=1001))
+        ScalogramTable(path, make_compact_poly(3), grid)
+        assert calls == list(grid.scales)
+
+    def test_scale_beyond_the_path_is_refused(self):
+        path = SampledPath(values=np.random.default_rng(23).normal(size=101))
+        with pytest.raises(ValidationError, match="path shorter than one scale window"):
+            ScalogramTable(path, make_compact_poly(3), ScaleGrid(8, (1, 2, 13)))
+
+
 class TestDesignMatrix:
     def test_first_column_log_scales(self):
         g = ScaleGrid(1, (1, 2, 4))

@@ -18,6 +18,7 @@ from scalebreak import (
     simulate_stationary,
 )
 from oracles import add_polynomial_trend, simulate_stationary_full_fft
+from scalebreak import synth
 from scalebreak.synth import _EXPM2, gaussian_draws, ndtri, segment_bounds
 from scipy.special import gammaln
 from scipy.special import ndtri as scipy_ndtri
@@ -196,6 +197,24 @@ class TestSimulateStationary:
         with pytest.raises(NumericError, match="negative eigenvalue .* at n=64"):
             simulate_stationary(lambda k: -np.ones(np.shape(k)), 64, seed=0)
 
+    @pytest.mark.parametrize("c", [1.0, 1e-9, 1e-30])
+    def test_refusal_is_relative_to_the_largest_eigenvalue(self, c):
+        # r = c (1, 0.9, 0, ...) has the embedding eigenvalues
+        # c (1 + 1.8 cos w), down to -0.8 c: refused at every scale c.
+        def autocov(k):
+            return c * np.select([k == 0, k == 1], [1.0, 0.9], 0.0)
+
+        with pytest.raises(NumericError, match="negative eigenvalue .* at n=64"):
+            simulate_stationary(autocov, 64, seed=0)
+        # White noise of the same variance is drawn, its path scaled by sqrt(c).
+        x = simulate_stationary(lambda k: c * (k == 0), 64, seed=0)
+        unit = simulate_stationary(lambda k: 1.0 * (k == 0), 64, seed=0)
+        np.testing.assert_allclose(x, math.sqrt(c) * unit, rtol=1e-12, atol=0)
+
+    def test_zero_covariance_raises(self):
+        with pytest.raises(NumericError, match="largest eigenvalue 0 at n=64"):
+            simulate_stationary(lambda k: np.zeros(np.shape(k)), 64, seed=0)
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_determinism_property(self, seed):
@@ -316,6 +335,85 @@ class TestSimulatePiecewise:
         bounds = segment_bounds(100, (0.3, 0.7))
         assert bounds[0][0] == 0 and bounds[-1][1] == 101
         assert all(b[1] == c[0] for b, c in zip(bounds, bounds[1:]))
+
+
+def _per_segment_draws(spec, n, seed):
+    """A piecewise path from simulate_stationary, segment by segment, on
+    one generator."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for (lo, hi), expo, sig in zip(
+        segment_bounds(n, spec.tau_stars), spec.exponents, spec.sigmas
+    ):
+        if spec.family is Family.FBM:
+            inc = simulate_stationary(
+                lambda k: fgn_autocov(expo, sig ** 2, k), hi - lo - 1, rng)
+            parts.append(np.concatenate([[0.0], np.cumsum(inc)]))
+        elif spec.family is Family.FGN:
+            parts.append(simulate_stationary(
+                lambda k: fgn_autocov(0.5 * (1.0 + expo), sig ** 2, k), hi - lo, rng))
+        else:
+            parts.append(simulate_stationary(
+                lambda k: farima_autocov(0.5 * expo, sig ** 2, k), hi - lo, rng))
+    return np.concatenate(parts)
+
+
+class TestSpectrumCache:
+    """simulate_piecewise factors each segment design's circulant once."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        synth._segment_factor.cache_clear()
+        yield
+        synth._segment_factor.cache_clear()
+
+    @pytest.mark.parametrize("family, exponents, sigmas", [
+        ("fgn", (0.2, 0.8, 0.5), (1.0, 2.5, 0.3)),
+        ("farima", (0.2, 0.8, 0.5), (1.0, 2.5, 0.3)),
+        ("fbm", (0.3, 0.7, 0.01), (1.0, 2.5, 0.3)),
+    ])
+    def test_paths_equal_per_segment_draws_on_miss_and_hit(
+        self, family, exponents, sigmas
+    ):
+        spec = PiecewiseSpec(family, (0.3, 0.75), exponents, sigmas)
+        miss = simulate_piecewise(spec, 1001, seed=5).values
+        assert synth._segment_factor.cache_info().misses == 3
+        hit = simulate_piecewise(spec, 1001, seed=5).values
+        other = simulate_piecewise(spec, 1001, seed=6).values
+        info = synth._segment_factor.cache_info()
+        assert (info.hits, info.misses) == (6, 3)
+        want = _per_segment_draws(spec, 1001, 5)
+        assert miss.tobytes() == want.tobytes()
+        assert hit.tobytes() == want.tobytes()
+        assert other.tobytes() == _per_segment_draws(spec, 1001, 6).tobytes()
+
+    def test_cached_factor_is_read_only(self):
+        simulate_piecewise(PiecewiseSpec("farima", exponents=(0.4,)), 200, seed=0)
+        amp = synth._segment_factor(Family.FARIMA, 0.4, 1.0, 201)
+        assert synth._segment_factor.cache_info().hits == 1
+        assert not amp.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            amp[0] = 0.0
+
+    def test_cache_stays_within_its_bound(self):
+        for i in range(3 * synth._FACTORS_CACHED):
+            spec = PiecewiseSpec("fgn", exponents=(0.05 + 0.03 * i,))
+            simulate_piecewise(spec, 64, seed=i)
+            info = synth._segment_factor.cache_info()
+            assert info.currsize <= info.maxsize == synth._FACTORS_CACHED
+        assert info.currsize == synth._FACTORS_CACHED
+
+    def test_refused_design_raises_every_time_and_is_not_cached(self, monkeypatch):
+        def not_a_covariance(h, sigma2, k):
+            return -sigma2 * np.ones(np.shape(k))
+
+        monkeypatch.setattr(synth, "fgn_autocov", not_a_covariance)
+        spec = PiecewiseSpec("fgn", exponents=(0.5,))
+        for _ in range(2):
+            with pytest.raises(NumericError, match="negative eigenvalue"):
+                simulate_piecewise(spec, 64, seed=0)
+        info = synth._segment_factor.cache_info()
+        assert (info.currsize, info.misses) == (0, 2)
 
 
 class TestSpecValidation:
